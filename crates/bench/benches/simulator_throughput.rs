@@ -50,9 +50,7 @@
 //! least `<ratio>`× faster under `HierPath::Event` (residency-proof
 //! filter + branchless way-scan) than under the `HierPath::Walk`
 //! reference (CI pins `1.2`), with the telemetry counters proving the
-//! residency filter actually answered lookups. Independent of any gate,
-//! `sampled_error_report` asserts the `HierPath::Sampled` 1-in-8
-//! set-sampled estimate stays within 5% of the exact fleet stall total.
+//! residency filter actually answered lookups.
 
 use std::time::{Duration, Instant};
 
@@ -345,69 +343,6 @@ fn hier_fast_report() {
         );
         println!("  gate: {speedup:.2}x >= {required:.2}x — ok");
     }
-}
-
-/// The sampled-hierarchy error bound: the Olden fleet runs exact
-/// (`HierPath::Event`) and 1-in-8 set-sampled (`HierPath::Sampled`), and
-/// the sampled estimate of the fleet's total stall cycles must land
-/// within 5% of the exact total. Always asserted — the approximate mode's
-/// documented contract, not an opt-in gate. Access counts must stay
-/// exact: sampling estimates *stalls*, never event counts.
-fn sampled_error_report() {
-    let scale = scale_from_env();
-    let programs: Vec<Program> = all(scale)
-        .iter()
-        .map(|w| compile(&w.source, Mode::HardBound).expect("compiles"))
-        .collect();
-    let fleet = |path: HierPath| -> Vec<_> {
-        programs
-            .iter()
-            .map(|p| {
-                let cfg =
-                    machine_config(Mode::HardBound, PointerEncoding::Intern4).with_hier_path(path);
-                let out = Engine::new(Machine::new(p.clone(), cfg)).run();
-                assert!(out.is_success(), "{:?}", out.trap);
-                out
-            })
-            .collect()
-    };
-    let exact = fleet(HierPath::Event);
-    let sampled = fleet(HierPath::sampled(8));
-    let stalls = |outs: &[hardbound_core::RunOutcome]| -> u64 {
-        outs.iter()
-            .map(|o| o.stats.hierarchy.total_stall_cycles())
-            .sum()
-    };
-    for (e, s) in exact.iter().zip(&sampled) {
-        assert_eq!(
-            (
-                e.stats.hierarchy.data_accesses,
-                e.stats.hierarchy.tag_accesses,
-                e.stats.hierarchy.shadow_accesses,
-            ),
-            (
-                s.stats.hierarchy.data_accesses,
-                s.stats.hierarchy.tag_accesses,
-                s.stats.hierarchy.shadow_accesses,
-            ),
-            "sampling must keep access counts exact"
-        );
-    }
-    let (exact_stalls, sampled_stalls) = (stalls(&exact), stalls(&sampled));
-    let error = (sampled_stalls as f64 - exact_stalls as f64).abs() / exact_stalls as f64;
-    println!("\nsampled hierarchy error ({scale:?} fleet, 1-in-8 sets):");
-    println!(
-        "  {:<24} exact {exact_stalls:>12} stalls  sampled {sampled_stalls:>12}  error {:>5.2}%",
-        "fleet stall total",
-        100.0 * error
-    );
-    assert!(
-        error < 0.05,
-        "sampled hierarchy error bound: 1-in-8 estimate off by {:.2}% (>5%) \
-         ({sampled_stalls} vs {exact_stalls} exact stall cycles)",
-        100.0 * error
-    );
-    println!("  bound: {:.2}% < 5.00% — ok", 100.0 * error);
 }
 
 /// The static bounds-check optimizer comparison (and optional CI gate):
@@ -867,7 +802,6 @@ fn main() {
     engine_speedup_report();
     meta_fast_path_report();
     hier_fast_report();
-    sampled_error_report();
     opt_speedup_report();
     service_warm_cold_report();
     persist_warm_report();

@@ -285,7 +285,7 @@ impl Machine {
         &self.stats
     }
 
-    /// Aggregate residency-filter and sampling counters of the simulated
+    /// Aggregate residency-filter counters of the simulated
     /// hierarchy — machinery telemetry (`hb_hier_fastpath_*`), not part of
     /// any observational identity.
     #[must_use]

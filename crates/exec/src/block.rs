@@ -20,17 +20,16 @@
 //! (a long straight-line prologue, a cold error path, a sweep of one-run
 //! corpus programs) cannot wash a long-lived service's hot loops out of
 //! the cache. Capacity pressure evicts one probationary LRU block at a
-//! time — never the whole cache. Invalidation after a code write is
-//! **range-precise and program-scoped**: every block records the
-//! instruction ranges it covers ([`CodeSpan`], inlined leaf bodies
-//! included), and only the written program's overlapping blocks die.
+//! time — never the whole cache. Blocks are never invalidated: simulated
+//! stores cannot reach the code region (they wild-fault first), so a
+//! program image is immutable for as long as its [`ProgramId`] exists.
 
 use std::collections::HashMap;
 
 use hardbound_core::{MachineConfig, StableHash, FINGERPRINT_VERSION};
-use hardbound_isa::{layout, FuncId, Program};
+use hardbound_isa::{FuncId, Program};
 
-use crate::uop::{CodeSpan, DecodedBlock, Uop};
+use crate::uop::{DecodedBlock, Uop};
 
 // Identities used to be mixed through `#[derive(Hash)]`, whose byte
 // encoding Rust does not promise across toolchains; now that fingerprints
@@ -159,9 +158,6 @@ pub struct Block {
     /// Pre-decoded µops; one per instruction, terminator last. See
     /// [`DecodedBlock::uops`] for the guarded two-stream layout.
     pub uops: Box<[Uop]>,
-    /// Instruction ranges this block covers (own function's hull plus the
-    /// full body of every inlined leaf callee).
-    pub spans: Box<[CodeSpan]>,
     /// `0` for an ordinary block; otherwise the index where the appended
     /// original copy begins (see [`DecodedBlock::fallback`]).
     pub fallback: u32,
@@ -179,8 +175,6 @@ pub struct BlockCacheStats {
     pub decoded: u64,
     /// Blocks discarded by capacity eviction (segmented-LRU victims).
     pub evicted: u64,
-    /// Blocks discarded by explicit invalidation.
-    pub invalidated: u64,
 }
 
 impl BlockCacheStats {
@@ -201,7 +195,6 @@ impl BlockCacheStats {
         self.hits += other.hits;
         self.decoded += other.decoded;
         self.evicted += other.evicted;
-        self.invalidated += other.invalidated;
     }
 }
 
@@ -259,16 +252,16 @@ struct ProgramEntry {
 /// addressed by the returned dense handle on the hot path; registration is
 /// idempotent per [`ProgramId`], which is how a long-lived cache hands a
 /// second run of the same image its warm blocks.
-/// [`SharedBlockCache::invalidate_program`] *unregisters*, recycling the
-/// handle and the per-instruction index table, so an open-ended sweep
-/// that retires programs does not accumulate dead registrations.
+// Aligned to two cache lines: a corpus service keeps one cache per worker
+// side by side in one `Vec`, and every lookup writes the hit counter and
+// the recency lists, so neighbouring caches must not share a line (nor an
+// adjacent-line prefetch pair) or the workers stall on each other.
 #[derive(Debug)]
+#[repr(align(128))]
 pub struct SharedBlockCache {
     by_id: HashMap<ProgramId, u32>,
-    /// Registered programs by dense handle; unregistered slots are `None`
-    /// and recycled through `free_programs`.
-    programs: Vec<Option<ProgramEntry>>,
-    free_programs: Vec<u32>,
+    /// Registered programs by dense handle.
+    programs: Vec<ProgramEntry>,
     /// Slab of slots; freed slots are recycled through `free`, so resident
     /// slot ids are stable across unrelated evictions.
     slots: Vec<Option<Slot>>,
@@ -302,7 +295,6 @@ impl SharedBlockCache {
         SharedBlockCache {
             by_id: HashMap::new(),
             programs: Vec::new(),
-            free_programs: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
             resident: 0,
@@ -325,7 +317,7 @@ impl SharedBlockCache {
             // as silently shared blocks) where the check is free.
             debug_assert!(
                 {
-                    let entry = self.entry(h);
+                    let entry = &self.programs[h as usize];
                     entry.index.len() == program.functions.len()
                         && entry
                             .index
@@ -344,30 +336,10 @@ impl SharedBlockCache {
                 .map(|f| vec![0; f.insts.len()])
                 .collect(),
         };
-        let h = match self.free_programs.pop() {
-            Some(h) => {
-                self.programs[h as usize] = Some(entry);
-                h
-            }
-            None => {
-                self.programs.push(Some(entry));
-                (self.programs.len() - 1) as u32
-            }
-        };
+        self.programs.push(entry);
+        let h = (self.programs.len() - 1) as u32;
         self.by_id.insert(pid, h);
         h
-    }
-
-    fn entry(&self, prog: u32) -> &ProgramEntry {
-        self.programs[prog as usize]
-            .as_ref()
-            .expect("registered program")
-    }
-
-    fn entry_mut(&mut self, prog: u32) -> &mut ProgramEntry {
-        self.programs[prog as usize]
-            .as_mut()
-            .expect("registered program")
     }
 
     /// The dense handle for `pid`, if registered.
@@ -441,7 +413,7 @@ impl SharedBlockCache {
         self.unlink(id);
         let slot = self.slots[id as usize].take().expect("resident slot");
         let b = &slot.block;
-        self.entry_mut(b.prog).index[b.func.0 as usize][b.entry as usize] = 0;
+        self.programs[b.prog as usize].index[b.func.0 as usize][b.entry as usize] = 0;
         self.free.push(id);
         self.resident -= 1;
     }
@@ -463,11 +435,11 @@ impl SharedBlockCache {
     /// `(func, pc)`, if any. Counts a hit and touches the block's recency:
     /// probationary blocks are promoted to the protected segment,
     /// protected blocks move to its MRU position. Ids are only stable
-    /// until the next insert or invalidation — resolve them with
+    /// until the next insert — resolve them with
     /// [`SharedBlockCache::block`] immediately.
     #[inline]
     pub fn lookup(&mut self, prog: u32, func: FuncId, pc: u32) -> Option<usize> {
-        let id = self.entry(prog).index[func.0 as usize][pc as usize];
+        let id = self.programs[prog as usize].index[func.0 as usize][pc as usize];
         if id == 0 {
             return None;
         }
@@ -503,7 +475,6 @@ impl SharedBlockCache {
                 func,
                 entry,
                 uops: decoded.uops,
-                spans: decoded.spans,
                 fallback: decoded.fallback,
                 elided_counts: decoded.elided_counts,
             },
@@ -522,7 +493,7 @@ impl SharedBlockCache {
             }
         };
         self.push_front(Segment::Probation, id);
-        self.entry_mut(prog).index[func.0 as usize][entry as usize] = id + 1;
+        self.programs[prog as usize].index[func.0 as usize][entry as usize] = id + 1;
         self.resident += 1;
         id as usize
     }
@@ -539,113 +510,10 @@ impl SharedBlockCache {
         &self.slot(id as u32).block
     }
 
-    /// Removes every resident block matching `pred`, counting the removals
-    /// as invalidations.
-    fn invalidate_matching(&mut self, pred: impl Fn(&Block) -> bool) {
-        let victims: Vec<u32> = (0..self.slots.len() as u32)
-            .filter(|&id| {
-                self.slots[id as usize]
-                    .as_ref()
-                    .is_some_and(|s| pred(&s.block))
-            })
-            .collect();
-        self.stats.invalidated += victims.len() as u64;
-        for id in victims {
-            self.remove(id);
-        }
-    }
-
-    /// Drops every decoded block of program handle `prog` containing
-    /// `func`'s code (e.g. after patching a function image), counting them
-    /// as invalidated. That includes blocks of *other* functions that
-    /// inlined `func` as a straight-line leaf callee — their µop arrays
-    /// embed `func`'s decoded body, which the block's [`CodeSpan`]s
-    /// record. Other programs' blocks are untouched.
-    pub fn invalidate_function(&mut self, prog: u32, func: FuncId) {
-        self.invalidate_matching(|b| b.prog == prog && b.spans.iter().any(|s| s.func == func));
-    }
-
-    /// Range-precise invalidation: drops exactly program handle `prog`'s
-    /// blocks whose covered instruction ranges intersect `[lo, hi)` of
-    /// `func` (inlined copies included). Blocks of untouched code — and of
-    /// every other program — survive.
-    pub fn invalidate_span(&mut self, prog: u32, func: FuncId, lo: u32, hi: u32) {
-        self.invalidate_matching(|b| {
-            b.prog == prog && b.spans.iter().any(|s| s.overlaps(func, lo, hi))
-        });
-    }
-
-    /// Range-precise invalidation keyed by *code addresses*: drops program
-    /// handle `prog`'s blocks embedding code of any function whose handle
-    /// range (`[code_addr(f), code_addr(f) + CODE_STRIDE)`) overlaps the
-    /// written byte range `[lo, hi)`. Writes that touch no code — the
-    /// common case: every data store — invalidate nothing.
-    pub fn invalidate_code_range(&mut self, prog: u32, lo: u32, hi: u32) {
-        let funcs = self.entry(prog).index.len() as u32;
-        let (code_lo, code_hi) = (layout::CODE_BASE, layout::code_addr(funcs));
-        let lo = lo.max(code_lo);
-        let hi = hi.min(code_hi);
-        if lo >= hi {
-            return; // nowhere near code
-        }
-        let first = (lo - code_lo) / layout::CODE_STRIDE;
-        let last = (hi - 1 - code_lo) / layout::CODE_STRIDE;
-        self.invalidate_matching(|b| {
-            b.prog == prog && b.spans.iter().any(|s| (first..=last).contains(&s.func.0))
-        });
-    }
-
-    /// Drops every decoded block of the program registered as `pid`
-    /// (counting them as invalidated) **and unregisters it** — the handle
-    /// and its per-instruction index table are recycled, so a long-lived
-    /// cache sweeping an open-ended stream of programs can retire them
-    /// without accumulating dead registrations. Returns how many blocks
-    /// died; a later run of the image simply re-registers.
-    pub fn invalidate_program(&mut self, pid: ProgramId) -> u64 {
-        let Some(prog) = self.handle(pid) else {
-            return 0;
-        };
-        let before = self.stats.invalidated;
-        self.invalidate_matching(|b| b.prog == prog);
-        self.by_id.remove(&pid);
-        self.programs[prog as usize] = None;
-        self.free_programs.push(prog);
-        self.stats.invalidated - before
-    }
-
-    /// Drops every decoded block of every program, counting them as
-    /// invalidated. Registrations survive.
-    pub fn invalidate_all(&mut self) {
-        self.stats.invalidated += self.resident as u64;
-        self.slots.clear();
-        self.free.clear();
-        self.resident = 0;
-        self.probation = List::EMPTY;
-        self.protected = List::EMPTY;
-        for entry in self.programs.iter_mut().flatten() {
-            for per_fn in &mut entry.index {
-                per_fn.fill(0);
-            }
-        }
-    }
-
     /// Number of resident decoded blocks (across all programs).
     #[must_use]
     pub fn resident(&self) -> usize {
         self.resident
-    }
-
-    /// Number of resident decoded blocks belonging to `pid`.
-    #[must_use]
-    pub fn resident_of(&self, pid: ProgramId) -> usize {
-        let Some(prog) = self.handle(pid) else {
-            return 0;
-        };
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|s| s.block.prog == prog)
-            .count()
     }
 
     /// Accumulated cache counters.
@@ -674,21 +542,12 @@ mod tests {
         ProgramId(n)
     }
 
-    fn decoded(spans: &[CodeSpan]) -> DecodedBlock {
+    fn decoded() -> DecodedBlock {
         DecodedBlock {
             uops: vec![Uop::Nop, Uop::Ret].into_boxed_slice(),
-            spans: spans.to_vec().into_boxed_slice(),
             fallback: 0,
             elided_counts: Box::default(),
         }
-    }
-
-    fn own_span(func: FuncId, entry: u32) -> DecodedBlock {
-        decoded(&[CodeSpan {
-            func,
-            lo: entry,
-            hi: entry + 2,
-        }])
     }
 
     #[test]
@@ -729,7 +588,7 @@ mod tests {
         let pa = c.register(pid(1), &p);
         let pb = c.register(pid(2), &p);
         assert!(c.lookup(pa, FuncId(0), 0).is_none());
-        let id = c.insert(pa, FuncId(0), 0, own_span(FuncId(0), 0));
+        let id = c.insert(pa, FuncId(0), 0, decoded());
         assert_eq!(c.lookup(pa, FuncId(0), 0), Some(id));
         assert!(
             c.lookup(pb, FuncId(0), 0).is_none(),
@@ -746,8 +605,8 @@ mod tests {
         let p = two_function_program();
         let mut c = SharedBlockCache::new(1);
         let h = c.register(pid(1), &p);
-        c.insert(h, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.insert(h, FuncId(0), 1, own_span(FuncId(0), 1));
+        c.insert(h, FuncId(0), 0, decoded());
+        c.insert(h, FuncId(0), 1, decoded());
         assert_eq!(c.stats().evicted, 1);
         assert_eq!(c.resident(), 1);
         assert!(c.lookup(h, FuncId(0), 0).is_none(), "evicted block is gone");
@@ -769,14 +628,14 @@ mod tests {
         let mut c = SharedBlockCache::new(4);
         let hot_prog = c.register(pid(1), &big);
         let cold_prog = c.register(pid(2), &big);
-        let hot = c.insert(hot_prog, FuncId(0), 0, own_span(FuncId(0), 0));
+        let hot = c.insert(hot_prog, FuncId(0), 0, decoded());
         assert_eq!(
             c.lookup(hot_prog, FuncId(0), 0),
             Some(hot),
             "promote to protected"
         );
         for e in 1..40 {
-            c.insert(cold_prog, FuncId(0), e, own_span(FuncId(0), e));
+            c.insert(cold_prog, FuncId(0), e, decoded());
         }
         assert!(
             c.lookup(hot_prog, FuncId(0), 0).is_some(),
@@ -785,136 +644,5 @@ mod tests {
         );
         assert_eq!(c.resident(), 4);
         assert_eq!(c.stats().evicted, 36);
-    }
-
-    #[test]
-    fn function_invalidation_is_selective_and_program_scoped() {
-        let p = two_function_program();
-        let mut c = SharedBlockCache::new(8);
-        let pa = c.register(pid(1), &p);
-        let pb = c.register(pid(2), &p);
-        c.insert(pa, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.insert(pa, FuncId(1), 0, own_span(FuncId(1), 0));
-        c.insert(pb, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.invalidate_function(pa, FuncId(0));
-        assert_eq!(c.stats().invalidated, 1);
-        assert!(c.lookup(pa, FuncId(0), 0).is_none());
-        assert!(c.lookup(pa, FuncId(1), 0).is_some());
-        assert!(
-            c.lookup(pb, FuncId(0), 0).is_some(),
-            "another program's fn#0 block survives"
-        );
-        c.invalidate_all();
-        assert_eq!(c.stats().invalidated, 3);
-        assert_eq!(c.resident(), 0);
-    }
-
-    #[test]
-    fn invalidation_covers_inlined_leaf_bodies() {
-        let p = two_function_program();
-        let mut c = SharedBlockCache::new(8);
-        let h = c.register(pid(1), &p);
-        // A block of fn#0 whose superblock inlined fn#1's body: its spans
-        // cover both functions.
-        c.insert(
-            h,
-            FuncId(0),
-            0,
-            decoded(&[
-                CodeSpan {
-                    func: FuncId(0),
-                    lo: 0,
-                    hi: 2,
-                },
-                CodeSpan {
-                    func: FuncId(1),
-                    lo: 0,
-                    hi: 2,
-                },
-            ]),
-        );
-        c.insert(h, FuncId(0), 1, own_span(FuncId(0), 1));
-        c.invalidate_function(h, FuncId(1));
-        assert_eq!(
-            c.stats().invalidated,
-            1,
-            "the inlining block embeds fn#1's code and must go"
-        );
-        assert!(c.lookup(h, FuncId(0), 0).is_none());
-        assert!(
-            c.lookup(h, FuncId(0), 1).is_some(),
-            "unrelated blocks survive"
-        );
-    }
-
-    #[test]
-    fn span_invalidation_is_instruction_precise() {
-        let mut f = FunctionBuilder::new("wide", 0);
-        for _ in 0..7 {
-            f.li(Reg::A0, 1);
-        }
-        f.halt();
-        let p = Program::with_entry(vec![f.finish()]);
-        let mut c = SharedBlockCache::new(8);
-        let h = c.register(pid(1), &p);
-        c.insert(h, FuncId(0), 0, own_span(FuncId(0), 0)); // covers [0, 2)
-        c.insert(h, FuncId(0), 4, own_span(FuncId(0), 4)); // covers [4, 6)
-        c.invalidate_span(h, FuncId(0), 2, 4); // the gap: nothing overlaps
-        assert_eq!(c.stats().invalidated, 0);
-        c.invalidate_span(h, FuncId(0), 5, 9);
-        assert_eq!(c.stats().invalidated, 1);
-        assert!(c.lookup(h, FuncId(0), 0).is_some());
-        assert!(c.lookup(h, FuncId(0), 4).is_none());
-    }
-
-    #[test]
-    fn code_range_invalidation_ignores_data_and_other_programs() {
-        let p = two_function_program();
-        let mut c = SharedBlockCache::new(8);
-        let pa = c.register(pid(1), &p);
-        let pb = c.register(pid(2), &p);
-        c.insert(pa, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.insert(pa, FuncId(1), 0, own_span(FuncId(1), 0));
-        c.insert(pb, FuncId(1), 0, own_span(FuncId(1), 0));
-        // Data writes: heap, globals — zero blocks die.
-        c.invalidate_code_range(pa, 0x0100_0000, 0x0100_0040);
-        c.invalidate_code_range(pa, layout::GLOBALS_BASE, layout::GLOBALS_BASE + 4);
-        assert_eq!(c.stats().invalidated, 0);
-        // Overwrite fn#1's handle in program A: exactly A's block dies.
-        let f1 = layout::code_addr(1);
-        c.invalidate_code_range(pa, f1, f1 + 4);
-        assert_eq!(c.stats().invalidated, 1);
-        assert!(c.lookup(pa, FuncId(0), 0).is_some());
-        assert!(c.lookup(pa, FuncId(1), 0).is_none());
-        assert!(
-            c.lookup(pb, FuncId(1), 0).is_some(),
-            "the write was scoped to program A"
-        );
-    }
-
-    #[test]
-    fn program_invalidation_drops_exactly_that_programs_blocks() {
-        let p = two_function_program();
-        let mut c = SharedBlockCache::new(8);
-        let pa = c.register(pid(1), &p);
-        let pb = c.register(pid(2), &p);
-        c.insert(pa, FuncId(0), 0, own_span(FuncId(0), 0));
-        c.insert(pa, FuncId(1), 0, own_span(FuncId(1), 0));
-        c.insert(pb, FuncId(0), 0, own_span(FuncId(0), 0));
-        assert_eq!(c.resident_of(pid(1)), 2);
-        assert_eq!(c.invalidate_program(pid(1)), 2);
-        assert_eq!(c.resident_of(pid(1)), 0);
-        assert_eq!(c.resident_of(pid(2)), 1);
-        assert_eq!(c.invalidate_program(pid(777)), 0, "unknown pid is a no-op");
-        assert!(c.lookup(pb, FuncId(0), 0).is_some());
-
-        // Invalidation unregisters: the handle is recycled and the pid is
-        // gone until the image runs again.
-        assert_eq!(c.handle(pid(1)), None);
-        assert_eq!(c.program_count(), 1);
-        let pc2 = c.register(pid(3), &p);
-        assert_eq!(pc2, pa, "retired handles are recycled");
-        assert_eq!(c.program_count(), 2);
-        assert!(c.lookup(pc2, FuncId(0), 0).is_none(), "fresh index");
     }
 }

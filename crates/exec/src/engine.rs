@@ -54,26 +54,24 @@ fn opt_metrics() -> &'static OptMetrics {
     })
 }
 
-/// Global memory-hierarchy metric handles, resolved once (same rationale
-/// as [`decode_us_hist`]). `hb_hier_us` records the wall time of each
-/// [`Engine::run`] — the window over which that run's fast-path counters
-/// accumulated.
-struct HierMetrics {
+/// Per-run metric handles, resolved once (same rationale as
+/// [`decode_us_hist`]): the hierarchy fast-path counters each
+/// [`Engine::run`] accumulated, and `hb_run_us`, the wall time of the
+/// whole run.
+struct RunMetrics {
     fastpath_hits: Counter,
     fastpath_misses: Counter,
-    sampled_sets: Counter,
-    hier_us: Histogram,
+    run_us: Histogram,
 }
 
-fn hier_metrics() -> &'static HierMetrics {
-    static M: OnceLock<HierMetrics> = OnceLock::new();
+fn run_metrics() -> &'static RunMetrics {
+    static M: OnceLock<RunMetrics> = OnceLock::new();
     M.get_or_init(|| {
         let reg = hardbound_telemetry::global();
-        HierMetrics {
+        RunMetrics {
             fastpath_hits: reg.counter("hb_hier_fastpath_hits"),
             fastpath_misses: reg.counter("hb_hier_fastpath_misses"),
-            sampled_sets: reg.counter("hb_hier_sampled_sets"),
-            hier_us: reg.histogram("hb_hier_us"),
+            run_us: reg.histogram("hb_run_us"),
         }
     })
 }
@@ -111,9 +109,9 @@ struct ProfCell {
 /// One run's profiler state. `cells` is a flat vector indexed by
 /// block-cache id — the hot-path dispatch credit is an indexed bump, not
 /// a hash lookup. If the cache reuses a slot for a different block
-/// mid-run (eviction/invalidation), the displaced cell moves to
-/// `spilled` so no retire is ever dropped; both drain into the
-/// process-wide accumulator at the end of the run.
+/// mid-run (eviction), the displaced cell moves to `spilled` so no retire
+/// is ever dropped; both drain into the process-wide accumulator at the
+/// end of the run.
 #[derive(Default)]
 struct BlockProfile {
     cells: Vec<ProfCell>,
@@ -124,8 +122,8 @@ struct BlockProfile {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Behaviour of the cache the engine is bound to (decodes, hits,
-    /// evictions, invalidations) — lifetime counters of that cache, which
-    /// a shared cache accumulates across every engine bound to it.
+    /// evictions) — lifetime counters of that cache, which a shared cache
+    /// accumulates across every engine bound to it.
     pub cache: BlockCacheStats,
     /// Blocks dispatched through the fast path.
     pub blocks_executed: u64,
@@ -317,14 +315,12 @@ impl<'c> Engine<'c> {
         self.flush_profile();
         let outcome = self.machine.finish_outcome();
         let fast = self.machine.hier_fast_stats();
-        let m = hier_metrics();
+        let m = run_metrics();
         m.fastpath_hits
             .add(fast.fastpath_hits - fast_before.fastpath_hits);
         m.fastpath_misses
             .add(fast.fastpath_misses - fast_before.fastpath_misses);
-        m.sampled_sets
-            .add(fast.sampled_sets - fast_before.sampled_sets);
-        m.hier_us
+        m.run_us
             .record(run_start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
         outcome
     }
@@ -344,33 +340,6 @@ impl<'c> Engine<'c> {
     #[must_use]
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The decoded-block cache the engine is bound to (tests and
-    /// diagnostics; invalidation is exposed here).
-    pub fn block_cache_mut(&mut self) -> &mut SharedBlockCache {
-        self.cache.get_mut()
-    }
-
-    /// Dense handle of this engine's program in the bound cache (pairs
-    /// with the program-scoped [`SharedBlockCache`] invalidation API).
-    #[must_use]
-    pub fn program_handle(&self) -> u32 {
-        self.prog
-    }
-
-    /// Hook for hosts that patch the program image (simulated stores never
-    /// reach the code region — `region_ok` wild-faults them): reacts to a
-    /// write of `len` bytes at `addr` by dropping exactly the decoded
-    /// blocks embedding code the write overlaps — *this program's* blocks;
-    /// a shared cache's other programs are untouched. A write range
-    /// covering only data invalidates nothing, so a long-lived engine
-    /// keeps its decode work where the pre-span API offered only the
-    /// whole-function/whole-cache invalidations.
-    pub fn note_code_write(&mut self, addr: u32, len: u32) {
-        self.cache
-            .get_mut()
-            .invalidate_code_range(self.prog, addr, addr.saturating_add(len));
     }
 
     fn lookup_or_decode(&mut self, func: FuncId, pc: u32) -> usize {
@@ -1139,75 +1108,6 @@ mod tests {
         let engine = run_program(build(), cfg);
         assert_eq!(engine.trap, Some(Trap::OutOfFuel));
         assert_eq!(engine.stats.uops, interp.stats.uops);
-    }
-
-    #[test]
-    fn explicit_invalidation_forces_redecode() {
-        let mut f = FunctionBuilder::new("inv", 0);
-        f.li(Reg::A0, 0);
-        f.halt();
-        let mut e = engine_for(f);
-        let _ = e.run();
-        let decoded_before = e.stats().cache.decoded;
-        e.block_cache_mut().invalidate_all();
-        assert!(e.stats().cache.invalidated >= decoded_before);
-    }
-
-    #[test]
-    fn data_stores_invalidate_no_blocks_code_writes_only_theirs() {
-        // The over-kill regression: a store anywhere near code used to
-        // flush every decoded block. Now a data-only write invalidates
-        // zero blocks, and a true code overwrite kills exactly the blocks
-        // embedding the overwritten function — inlined copies included.
-        let mut leaf = FunctionBuilder::new("leaf", 0);
-        leaf.li(Reg::A1, 9);
-        leaf.ret();
-        // Branchy, so the decoder gives it its own block instead of
-        // inlining it into main's superblock.
-        let mut other = FunctionBuilder::new("other", 0);
-        other.li(Reg::A2, 3);
-        let out = other.new_label();
-        other.branch(CmpOp::Ge, Reg::A2, 0, out);
-        other.li(Reg::A2, 4);
-        other.bind(out);
-        other.ret();
-        let mut main = FunctionBuilder::new("main", 0);
-        main.call(FuncId(1)); // inlined into main's superblock
-        main.call(FuncId(2));
-        main.li(Reg::A0, 0);
-        main.halt();
-        let program = Program::with_entry(vec![main.finish(), leaf.finish(), other.finish()]);
-        let mut e = Engine::new(Machine::new(program, MachineConfig::default()));
-        assert!(e.run().is_success());
-        let resident = e.block_cache_mut().resident();
-        assert!(resident >= 2, "main + other blocks stay resident");
-
-        // Data-only stores: heap, globals, stack. Zero invalidations.
-        e.note_code_write(hardbound_isa::layout::HEAP_BASE, 4);
-        e.note_code_write(hardbound_isa::layout::GLOBALS_BASE + 128, 64);
-        e.note_code_write(hardbound_isa::layout::STACK_TOP - 64, 4);
-        assert_eq!(e.stats().cache.invalidated, 0, "data stores are free");
-        assert_eq!(e.block_cache_mut().resident(), resident);
-
-        // Overwrite the inlined leaf's code: the block that embeds it
-        // (main's superblock) dies; `other`'s block survives.
-        e.note_code_write(hardbound_isa::layout::code_addr(1), 4);
-        let invalidated = e.stats().cache.invalidated;
-        assert!(invalidated >= 1, "{:?}", e.stats());
-        assert!(
-            invalidated < resident as u64,
-            "only overlapping blocks die: {:?}",
-            e.stats()
-        );
-        let h = e.program_handle();
-        assert!(
-            e.block_cache_mut().lookup(h, FuncId(2), 0).is_some(),
-            "unrelated function's block survives the code write"
-        );
-        assert!(
-            e.block_cache_mut().lookup(h, FuncId(0), 0).is_none(),
-            "the superblock inlining the overwritten leaf must redecode"
-        );
     }
 
     #[test]

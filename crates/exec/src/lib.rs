@@ -15,8 +15,7 @@
 //!    time and deletes, hoists, or coalesces them,
 //! 2. [`block`] caches decoded blocks in a [`SharedBlockCache`] keyed by
 //!    `(`[`ProgramId`]`, entry PC)` — one segmented-LRU cache serving any
-//!    number of machines and programs, with eviction and program-scoped
-//!    range-precise invalidation,
+//!    number of machines and programs, with segmented-LRU eviction,
 //! 3. [`engine`] dispatches blocks against the machine state through the
 //!    narrow [`ExecState`](hardbound_core::ExecState) interface — owning a
 //!    private cache or borrowing a long-lived shared one — falling back to
@@ -30,7 +29,7 @@
 //!    backend: per-worker shared decode-cache shards plus a
 //!    [`ResultStore`](service::ResultStore) keyed by program hash, so a
 //!    warm corpus re-run replays identical cells instead of simulating
-//!    them and incremental re-runs execute only invalidated keys.
+//!    them and incremental re-runs execute only the keys that changed.
 //!
 //! The engine is observationally identical to the interpreter — same
 //! output, same traps at the same program counters, same

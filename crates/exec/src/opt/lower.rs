@@ -77,7 +77,6 @@ pub(super) fn lower(
             .collect();
         return DecodedBlock {
             uops: uops.into_boxed_slice(),
-            spans: block.spans.clone(),
             fallback: 0,
             elided_counts: Box::new([elided_total]),
         };
@@ -118,7 +117,6 @@ pub(super) fn lower(
     uops.extend_from_slice(&block.uops);
     DecodedBlock {
         uops: uops.into_boxed_slice(),
-        spans: block.spans.clone(),
         fallback,
         elided_counts: counts.into_boxed_slice(),
     }

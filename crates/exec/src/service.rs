@@ -17,10 +17,9 @@
 //!   recomputation — pinned by the service differential suite and the
 //!   result-store proptests at the workspace root.
 //!
-//! The **incremental re-run** story falls out of the keying: after one
-//! scheme or program changes, only the keys it invalidates miss the store
-//! ([`CorpusService::invalidate_program`] drops exactly one image's
-//! results and decoded blocks); everything else replays. Batches run on
+//! The **incremental re-run** story falls out of the keying: a changed
+//! program or scheme hashes to new keys, which miss the store; everything
+//! else replays. Batches run on
 //! the lock-free [`batch`] scheduler with a deterministic, input-ordered
 //! merge of store hits and fresh executions.
 
@@ -66,8 +65,6 @@ pub struct ResultStoreStats {
     pub misses: u64,
     /// Outcomes inserted.
     pub stored: u64,
-    /// Entries dropped by program invalidation.
-    pub invalidated: u64,
     /// Entries dropped by capacity eviction (oldest first).
     pub evicted: u64,
     /// Entries dropped by idle-TTL expiry (see [`ResultStore::set_ttl`]).
@@ -273,7 +270,7 @@ impl ResultStore {
 
     /// Drains the journal: every key inserted since the last drain, in
     /// insertion order (empty when journaling is off). Keys whose entries
-    /// were since evicted or invalidated resolve to `None` under
+    /// were since evicted or expired resolve to `None` under
     /// [`ResultStore::peek`]; skip them.
     pub fn take_dirty(&mut self) -> Vec<StoreKey> {
         match &mut self.journal {
@@ -285,23 +282,6 @@ impl ResultStore {
     /// Iterates every live `(key, outcome)` (compaction snapshots).
     pub fn entries(&self) -> impl Iterator<Item = (&StoreKey, &RunOutcome)> {
         self.slots.iter().flatten().map(|(k, o)| (k, o))
-    }
-
-    /// Drops every entry of program `pid` — and nothing else — returning
-    /// how many died.
-    pub fn invalidate_program(&mut self, pid: ProgramId) -> usize {
-        let victims: Vec<u32> = (0..self.slots.len() as u32)
-            .filter(|&id| {
-                self.slots[id as usize]
-                    .as_ref()
-                    .is_some_and(|((p, _), _)| *p == pid)
-            })
-            .collect();
-        for &id in &victims {
-            self.drop_slot(id);
-        }
-        self.stats.invalidated += victims.len() as u64;
-        victims.len()
     }
 
     /// Number of stored results.
@@ -459,17 +439,9 @@ impl CorpusService {
         let mut first_of: HashMap<(ProgramId, u64), usize> = HashMap::new();
         let mut replay_of: Vec<Option<usize>> = vec![None; jobs.len()];
         for (i, &key) in keys.iter().enumerate() {
-            // Approximate-mode jobs (`HierPath::Sampled`) are excluded from
-            // every identity path: their stall estimates share a stable
-            // fingerprint with the exact twins (the fingerprint deliberately
-            // covers only simulated-hardware fields), so replaying an exact
-            // outcome for them — or worse, storing an estimate where an
-            // exact run would later replay it — would corrupt the store's
-            // byte-identity contract. They always execute, and never insert.
-            let identity = self.result_cache && !jobs[i].config.hier_path.is_sampled();
-            match identity.then(|| self.store.lookup(key)).flatten() {
+            match self.result_cache.then(|| self.store.lookup(key)).flatten() {
                 Some(out) => results[i] = Some(out),
-                None if identity => match first_of.get(&key) {
+                None if self.result_cache => match first_of.get(&key) {
                     // A duplicate of a cell already executing in this
                     // batch: replay its outcome instead of re-simulating.
                     // The store lookup above counted it as a miss;
@@ -511,7 +483,7 @@ impl CorpusService {
             t.emit(vec![("jobs".to_owned(), Field::from(jobs.len() as u64))]);
         }
         for (&i, out) in missing.iter().zip(fresh) {
-            if self.result_cache && !jobs[i].config.hier_path.is_sampled() {
+            if self.result_cache {
                 self.store.insert(keys[i], out.clone());
             }
             results[i] = Some(out);
@@ -536,23 +508,6 @@ impl CorpusService {
         self.run_batch(std::slice::from_ref(job), build)
             .pop()
             .expect("one job, one outcome")
-    }
-
-    /// Invalidates one program image everywhere: its stored results (every
-    /// configuration) and its decoded blocks in every shard. Other
-    /// programs' keys are untouched — this is the incremental-re-run
-    /// primitive: after mutating one program, re-running the corpus
-    /// executes only its cells and replays the rest.
-    ///
-    /// Returns `(stored results dropped, decoded blocks dropped)`.
-    pub fn invalidate_program(&mut self, pid: ProgramId) -> (usize, u64) {
-        let results = self.store.invalidate_program(pid);
-        let blocks = self
-            .shards
-            .iter_mut()
-            .map(|s| s.invalidate_program(pid))
-            .sum();
-        (results, blocks)
     }
 
     /// Snapshot of the service's counters (store + shards).
@@ -674,39 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_jobs_bypass_the_result_store_entirely() {
-        use hardbound_core::HierPath;
-        let mut svc = CorpusService::new(2);
-        let exact = job(10, 1_000_000);
-        let mut sampled = exact.clone();
-        sampled.config = sampled.config.clone().with_hier_path(HierPath::sampled(8));
-        // The exact and sampled configs deliberately share a fingerprint…
-        assert_eq!(exact.key(), sampled.key());
-
-        // …so a sampled run right after an exact one must not replay the
-        // exact outcome (it executes), and must not overwrite the store.
-        let exact_out = svc.run_one(&exact, build);
-        let before = svc.stats().store;
-        let sampled_out = svc.run_one(&sampled, build);
-        let after = svc.stats().store;
-        assert_eq!(after.hits, before.hits, "sampled job never replays");
-        assert_eq!(after.stored, before.stored, "sampled job never stores");
-        assert_eq!(sampled_out.exit_code, exact_out.exit_code);
-
-        // A cold store stays cold across a sampled batch, including
-        // intra-batch duplicates — both execute.
-        let mut cold = CorpusService::new(2);
-        let outs = cold.run_batch(&[sampled.clone(), sampled.clone()], build);
-        assert_eq!(outs[0], outs[1]);
-        assert_eq!(cold.stats().store_len, 0);
-        assert_eq!(cold.stats().store.hits, 0);
-
-        // And the exact cell is still replayable afterwards.
-        let replay = svc.run_one(&exact, build);
-        assert_eq!(replay, exact_out, "exact entry undisturbed");
-    }
-
-    #[test]
     fn store_capacity_evicts_untouched_oldest_first() {
         let mut store = ResultStore::with_capacity(2);
         let out = |limit| {
@@ -724,15 +646,16 @@ mod tests {
         assert!(store.lookup(keys[0]).is_none(), "oldest entry evicted");
         assert!(store.lookup(keys[1]).is_some());
         assert!(store.lookup(keys[2]).is_some());
-        // Re-insertion after invalidation enters probation: with keys[1]
-        // and keys[2] protected by their replays above, the fresh insert
-        // beyond capacity evicts the probationary re-insert, not them.
-        store.invalidate_program(keys[1].0);
+        // Only keys[2] stays protected (the 2-entry store's protected
+        // share is 1, so promoting keys[2] demoted keys[1]): re-inserting
+        // keys[0] evicts the probationary keys[1], and the next insert
+        // beyond capacity evicts that probationary re-insert, not keys[2].
         store.insert(keys[0], out(10));
         assert_eq!(store.len(), 2);
+        assert!(store.peek(&keys[1]).is_none(), "probationary LRU evicted");
         let fresh = job(99, 1_000_000).key();
         store.insert(fresh, out(99));
-        assert_eq!(store.stats().evicted, 2);
+        assert_eq!(store.stats().evicted, 3);
         assert!(
             store.lookup(keys[2]).is_some(),
             "replayed (protected) entry survives"
@@ -836,21 +759,5 @@ mod tests {
         assert_eq!(s.store.hits, 0, "expired entries never replay");
         assert_eq!(s.store.misses, 2);
         assert_eq!(s.store.expired, 1);
-    }
-
-    #[test]
-    fn invalidation_is_per_program() {
-        let a = job(10, 1_000_000);
-        let b = job(20, 1_000_000);
-        let mut svc = CorpusService::new(1);
-        svc.run_batch(&[a.clone(), b.clone()], build);
-        assert_eq!(svc.stats().store_len, 2);
-        let (results, blocks) = svc.invalidate_program(a.key().0);
-        assert_eq!(results, 1, "exactly a's stored result dies");
-        assert!(blocks > 0, "a's decoded blocks die with it");
-        svc.run_batch(&[a, b], build);
-        let s = svc.stats();
-        assert_eq!(s.store.hits, 1, "b replays");
-        assert_eq!(s.store.misses, 3, "a re-executes (2 cold + 1 after inval)");
     }
 }

@@ -526,36 +526,7 @@ pub fn decode_inst(inst: Inst, cfg: &MachineConfig, func: FuncId, idx: u32) -> U
     }
 }
 
-/// Contiguous range `[lo, hi)` of one function's instructions covered by a
-/// decoded block. A superblock's spans name every instruction it embeds —
-/// its own function's emitted hull plus the full body of every inlined
-/// leaf callee — so invalidation after a code write can drop exactly the
-/// blocks that overlap the written range instead of flushing the world.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CodeSpan {
-    /// Function the range indexes into.
-    pub func: FuncId,
-    /// First covered instruction index.
-    pub lo: u32,
-    /// One past the last covered instruction index.
-    pub hi: u32,
-}
-
-impl CodeSpan {
-    /// Whether this span covers instruction `idx` of `func`.
-    #[must_use]
-    pub fn covers(&self, func: FuncId, idx: u32) -> bool {
-        self.func == func && (self.lo..self.hi).contains(&idx)
-    }
-
-    /// Whether this span intersects `[lo, hi)` of `func`.
-    #[must_use]
-    pub fn overlaps(&self, func: FuncId, lo: u32, hi: u32) -> bool {
-        self.func == func && self.lo < hi && lo < self.hi
-    }
-}
-
-/// A decoded superblock: the µop array plus the code ranges it covers.
+/// A decoded superblock: the µop array plus its optimizer metadata.
 #[derive(Clone, Debug)]
 pub struct DecodedBlock {
     /// Pre-decoded µops; one per instruction, terminator last. When
@@ -564,8 +535,6 @@ pub struct DecodedBlock {
     /// original block in `uops[fallback..]`, which failed [`Uop::Guard`]s
     /// divert into.
     pub uops: Box<[Uop]>,
-    /// Covered instruction ranges, one (hull) span per involved function.
-    pub spans: Box<[CodeSpan]>,
     /// `0` for an ordinary block; otherwise the index where the appended
     /// original copy begins (guarded blocks only — index 0 is always inside
     /// the optimized stream, so 0 is unambiguous as "no fallback").
@@ -578,16 +547,6 @@ pub struct DecodedBlock {
     ///
     /// [`Machine::elided_stats_static`]: hardbound_core::Machine::elided_stats_static
     pub elided_counts: Box<[u32]>,
-}
-
-/// Extends the hull span of `func` (or opens one) to cover `[lo, hi)`.
-fn cover(spans: &mut Vec<CodeSpan>, func: FuncId, lo: u32, hi: u32) {
-    if let Some(s) = spans.iter_mut().find(|s| s.func == func) {
-        s.lo = s.lo.min(lo);
-        s.hi = s.hi.max(hi);
-    } else {
-        spans.push(CodeSpan { func, lo, hi });
-    }
 }
 
 /// Maximum instruction count of a leaf callee that [`decode_block`]
@@ -619,8 +578,7 @@ fn inlinable_leaf(f: &hardbound_isa::Function) -> bool {
 /// emitting a [`Uop::FollowedJump`]) and inlining straight-line leaf
 /// callees ([`Uop::InlineCall`]/[`Uop::InlineRet`]), until a two-way
 /// terminator, a jump back into an already-emitted instruction, or
-/// [`FOLLOW_CAP`]. The returned [`DecodedBlock`] carries the code ranges
-/// the block covers, which range-precise invalidation keys on.
+/// [`FOLLOW_CAP`].
 ///
 /// Validated programs always end functions with an unconditional transfer,
 /// so a terminator is guaranteed before the slice runs out.
@@ -633,12 +591,10 @@ pub fn decode_block(
 ) -> DecodedBlock {
     let insts = &program.func(func).insts;
     let mut uops = Vec::new();
-    let mut spans = Vec::new();
     let mut emitted: Vec<u32> = Vec::new();
     let mut pc = entry;
     loop {
         let u = decode_inst(insts[pc as usize], cfg, func, pc);
-        cover(&mut spans, func, pc, pc + 1);
         match u {
             Uop::Jump { target } => {
                 if uops.len() + 1 < FOLLOW_CAP && !emitted.contains(&target) {
@@ -656,9 +612,6 @@ pub fn decode_block(
                 if uops.len() + body.len() + 2 < FOLLOW_CAP && inlinable_leaf(program.func(callee))
                 {
                     uops.push(Uop::InlineCall { func: callee, ret });
-                    // The whole callee body (its `ret` included) is
-                    // embedded in this block.
-                    cover(&mut spans, callee, 0, body.len() as u32);
                     for (i, &inst) in body[..body.len() - 1].iter().enumerate() {
                         uops.push(decode_inst(inst, cfg, callee, i as u32));
                     }
@@ -692,7 +645,6 @@ pub fn decode_block(
     );
     DecodedBlock {
         uops: uops.into_boxed_slice(),
-        spans: spans.into_boxed_slice(),
         fallback: 0,
         elided_counts: Box::default(),
     }
@@ -923,23 +875,6 @@ mod tests {
                 Uop::Step { idx: 1 },
             ]
         );
-        // The spans record both the caller's hull and the whole inlined
-        // callee body, so range invalidation can find the embedded copy.
-        assert_eq!(
-            &*block.spans,
-            &[
-                CodeSpan {
-                    func: F0,
-                    lo: 0,
-                    hi: 2
-                },
-                CodeSpan {
-                    func: FuncId(1),
-                    lo: 0,
-                    hi: 2
-                },
-            ]
-        );
     }
 
     #[test]
@@ -977,15 +912,6 @@ mod tests {
                 func: FuncId(1),
                 ret: 1
             }]
-        );
-        assert_eq!(
-            &*block.spans,
-            &[CodeSpan {
-                func: F0,
-                lo: 0,
-                hi: 1
-            }],
-            "a non-inlined call covers only the call site"
         );
     }
 }

@@ -316,21 +316,17 @@ fn main() -> ExitCode {
         );
         if args.engine {
             // Hierarchy lookup-machinery activity, read back from the
-            // process registry (the engine records residency-filter and
-            // sampling counters there after each run).
+            // process registry (the engine records residency-filter
+            // counters there after each run).
             let (fast_hits, fast_misses) = (
                 registry.counter("hb_hier_fastpath_hits"),
                 registry.counter("hb_hier_fastpath_misses"),
             );
             eprintln!(
-                "hier fast path:  {} proofs, {} scans ({:.1}% proved){}",
+                "hier fast path:  {} proofs, {} scans ({:.1}% proved)",
                 fast_hits,
                 fast_misses,
                 100.0 * checked_ratio(fast_hits, fast_hits + fast_misses),
-                match registry.counter("hb_hier_sampled_sets") {
-                    0 => String::new(),
-                    n => format!(", {n} sampled sets [APPROXIMATE]"),
-                }
             );
         }
         let cc = compile_cache_stats();
@@ -394,8 +390,8 @@ fn main() -> ExitCode {
                     );
                 }
                 eprintln!(
-                    "block cache:     {} hits, {} decoded, {} evicted, {} invalidated",
-                    svc.cache.hits, svc.cache.decoded, svc.cache.evicted, svc.cache.invalidated
+                    "block cache:     {} hits, {} decoded, {} evicted",
+                    svc.cache.hits, svc.cache.decoded, svc.cache.evicted
                 );
                 eprintln!(
                     "programs:        {} registered, {} blocks resident",

@@ -258,22 +258,11 @@ pub fn meta_path_default() -> MetaPath {
     }
 }
 
-/// The default [`HierPath`], from the environment:
-///
-/// * `HB_HIER_SAMPLE=K` (power of two ≥ 2) selects the explicitly
-///   *approximate* 1-in-K set-sampled hierarchy — capacity-planning
-///   sweeps only; never stored, never shipped to a server;
-/// * otherwise `HB_HIER_FAST` (default on) selects the exact event-driven
-///   fast path, and `HB_HIER_FAST=0` the exact reference walk.
-///
-/// # Panics
-///
-/// Panics when `HB_HIER_SAMPLE` is set to anything but a power of two ≥ 2.
+/// The default [`HierPath`], from the environment: `HB_HIER_FAST`
+/// (default on) selects the event-driven fast path, and `HB_HIER_FAST=0`
+/// its exact twin, the reference walk.
 #[must_use]
 pub fn hier_path_default() -> HierPath {
-    if let Some(k) = env_parse::<u32>("HB_HIER_SAMPLE").unwrap_or_else(|e| panic!("{e}")) {
-        return HierPath::sampled(k);
-    }
     if env_flag("HB_HIER_FAST").unwrap_or(true) {
         HierPath::Event
     } else {
@@ -686,17 +675,6 @@ pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
         });
     }
     if let Some(addrs) = serve_addrs() {
-        // The wire codec deliberately does not express `hier_path`:
-        // `Sampled` is approximate and shares a stable fingerprint with its
-        // exact twins, so shipping such a job would silently run `Event` on
-        // the server and hand back an exact outcome the caller believes is
-        // sampled (or worse, a warm-store replay). Fail loudly instead.
-        assert!(
-            !jobs.iter().any(|j| j.config.hier_path.is_sampled()),
-            "HierPath::Sampled cannot run through HB_SERVE_ADDR: the wire \
-             protocol deliberately does not express approximate hierarchy \
-             modes. Unset HB_HIER_SAMPLE (or HB_SERVE_ADDR) for this grid."
-        );
         return run_jobs_remote_to(&addrs, &jobs);
     }
     let jobs: Vec<Job<Mode>> = jobs
@@ -728,12 +706,12 @@ pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
 /// reconnect-and-resubmit of the still-missing cells.
 const ATTEMPTS_PER_SHARD: usize = 2;
 
-/// One submission attempt against `addr`: connect, submit over the v2
-/// ticket flow, stream into `out`. On a mid-stream failure the slots
-/// filled so far stay filled — the caller resubmits only the rest.
+/// One submission attempt against `addr`: connect, submit, watch the
+/// ticket into `out`. On a mid-stream failure the slots filled so far
+/// stay filled — the caller resubmits only the rest.
 ///
 /// With `ctx` present the attempt runs under a `remote_rt` span: the
-/// submission carries the span as the server-side parent (SUBMIT3), the
+/// submission carries the span as the server-side parent, the
 /// returned server spans are re-emitted into the local sink so the grid's
 /// trace is one merged file, and a failed attempt records the error so
 /// the following retry/re-route is attributable to the shard that died.
@@ -753,7 +731,7 @@ fn try_shard_once(
             trace: c.trace,
             parent: t.span(),
         });
-        let (ticket, _traced) = client.submit_traced(sub, sub_ctx)?;
+        let ticket = client.submit_traced(sub, sub_ctx)?;
         m.remote_round_trips.inc();
         m.remote_cells.add(sub.len() as u64);
         let mut spans = Vec::new();
@@ -944,10 +922,9 @@ pub fn run_jobs_remote_to(addrs: &[String], jobs: &[SimJob]) -> Vec<RunOutcome> 
 /// Scrapes and merges the hot-spot profiles of every reachable shard in
 /// `addrs` into one cluster-wide [`hardbound_telemetry::Profile`]. Merging
 /// is exact summation key-by-key, so the merged block counts equal the
-/// sums of the per-shard counts. Unreachable shards and pre-profile
-/// servers (which answer `ERR "unknown request kind"`) contribute an
-/// empty profile — the same degradation path the result fetchers use for
-/// a killed shard; their addresses come back in the second element.
+/// sums of the per-shard counts. Unreachable shards contribute an empty
+/// profile — the same degradation path the result fetchers use for a
+/// killed shard; their addresses come back in the second element.
 #[must_use]
 pub fn cluster_profile(addrs: &[String]) -> (hardbound_telemetry::Profile, Vec<String>) {
     let mut merged = hardbound_telemetry::Profile::new();

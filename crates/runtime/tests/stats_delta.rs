@@ -78,4 +78,17 @@ fn per_run_deltas_are_stable_across_back_to_back_grids() {
             "{name}: delta must exclude the earlier grid"
         );
     }
+
+    // `hb_run_us` times whole `Engine::run` calls: one sample per run.
+    let runs = |delta: &hardbound_telemetry::Snapshot| {
+        delta.histogram("hb_run_us").map_or(0, |h| h.count())
+    };
+    assert_eq!(runs(&first), 6, "one sample per engine run of the grid");
+    let before_one = metrics_snapshot();
+    let program = compile(SRC, Mode::HardBound).unwrap();
+    let config = machine_config(Mode::HardBound, PointerEncoding::Intern4);
+    let out = Engine::new(build_machine_with_config(program, Mode::HardBound, config)).run();
+    assert_eq!(out.trap, None);
+    let one = metrics_snapshot().delta(&before_one);
+    assert_eq!(runs(&one), 1, "one Engine::run adds exactly one sample");
 }

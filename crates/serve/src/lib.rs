@@ -23,10 +23,11 @@
 //!   [`PersistentService::checkpoint`].
 //! * [`net`] — a `TcpListener` front end speaking a length-prefixed
 //!   request/response protocol with work-queue semantics: clients submit
-//!   cell grids, the server dedups against the store and drains misses
-//!   through the lock-free `exec::batch` scheduler, and results stream
-//!   back in chunks. Protocol v2 adds a deduplicated listing table and a
-//!   ticket/watch flow. `hbserve` (in `hardbound-report`) is the binary;
+//!   cell grids (over a deduplicated listing table) and get a ticket, the
+//!   server dedups against the store and drains misses through the
+//!   lock-free `exec::batch` scheduler, and results stream back in chunks
+//!   to whoever watches the ticket. `hbserve` (in `hardbound-report`) is
+//!   the binary;
 //!   `hardbound_runtime::run_jobs` is the transparent client
 //!   (`HB_SERVE_ADDR`).
 //! * [`shard`] — consistent-hash routing for the **hbserve cluster**: a

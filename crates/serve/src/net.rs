@@ -14,53 +14,37 @@
 //! ## Frames
 //!
 //! Every frame is `length (u32, LE) | kind (u8) | payload`; the length
-//! counts the kind byte plus the payload. Requests:
+//! counts the kind byte plus the payload.
 //!
-//! | kind | payload |
-//! |---|---|
-//! | `SUBMIT` | job count (u32), then per job: program listing (str), [`MachineConfig`], salt (u64), tag (u64) |
-//! | `SUBMIT2` | listing count (u32), the **deduplicated listing table** (strs), then job count (u32), per job: listing index (u32), [`MachineConfig`], salt (u64), tag (u64) |
-//! | `SUBMIT3` | trace id (u64), parent span id (u64), then a `SUBMIT2` payload — the trace-context flavour of `SUBMIT2` |
-//! | `WATCH` | ticket id (u64) |
-//! | `POLL` | ticket id (u64) |
-//! | `STATS` | empty |
-//! | `METRICS` | empty |
-//! | `PROFILE` | empty |
-//! | `SHUTDOWN` | empty |
+//! | direction | kind | payload |
+//! |---|---|---|
+//! | request | `SUBMIT` | trace id (u64; 0 = untraced, and then the parent must be 0), parent span id (u64), listing count (u32), the **deduplicated listing table** (strs), job count (u32), then per job: listing index (u32), [`MachineConfig`], salt (u64), tag (u64) |
+//! | request | `WATCH` | ticket id (u64) |
+//! | request | `POLL` | ticket id (u64) |
+//! | request | `STATS` | empty |
+//! | request | `METRICS` | empty |
+//! | request | `PROFILE` | empty |
+//! | request | `SHUTDOWN` | empty |
+//! | response | `TICKET` | ticket id (u64), job count (u32) — answers `SUBMIT` |
+//! | response | `RESULTS` | start index (u32), count (u32), then `count` encoded [`RunOutcome`]s |
+//! | response | `SPANS` | span count (u32), then encoded trace spans — only while watching a traced ticket, just before `DONE` |
+//! | response | `DONE` | total results (u32) — ends a `WATCH` stream; acknowledges `SHUTDOWN` |
+//! | response | `TICKET_STATUS` | total (u32), ready (u32), finished (u8), failed (u8) — answers `POLL` |
+//! | response | `STATS` | fifteen u64 counters (see [`RemoteServerStats`]) |
+//! | response | `METRICS` | Prometheus-style text |
+//! | response | `PROFILE` | the accumulated hot-spot profile in `Profile::to_text` form (populated when the server runs with `HB_PROF=1`) |
+//! | response | `ERR` | diagnostic string — the whole request is rejected; nothing executed |
 //!
-//! Responses: `RESULTS` (start index u32, count u32, then `count` encoded
-//! [`RunOutcome`]s), `DONE` (total results u32), `TICKET` (ticket id u64,
-//! job count u32), `TICKET_STATUS` (total u32, ready u32, finished u8,
-//! failed u8), `STATS` (counters), `SPANS` (span count u32, then encoded
-//! trace spans — only ever sent while watching a ticket that was submitted
-//! *with* trace context), `METRICS` (Prometheus-style text), `PROFILE`
-//! (the shard's accumulated hot-spot profile in `Profile::to_text` form —
-//! populated when the server runs with `HB_PROF=1`; pre-profile servers
-//! answer `ERR "unknown request kind"` and clients treat that as an empty
-//! profile), and `ERR` (diagnostic string — the whole request is
-//! rejected; nothing executed).
-//!
-//! ## Version negotiation
-//!
-//! `SUBMIT3` carries the client's trace context so shards can stamp
-//! server-side spans under the submitter's `TraceId` and return them with
-//! `WATCH` (as a `SPANS` frame before `DONE`). Interop is by fallback, not
-//! by handshake: an old server answers `SUBMIT3` with `ERR "unknown
-//! request kind"` on a still-open connection, and the client transparently
-//! re-submits via plain `SUBMIT2` (losing only the server-side spans); an
-//! old client never sends `SUBMIT3` and never watches a traced ticket, so
-//! it never sees a `SPANS` frame.
-//!
-//! `SUBMIT` is the protocol-v1 synchronous flow: the submitting connection
-//! streams `RESULTS` frames until `DONE`. `SUBMIT2` is the v2
-//! **ticket/watch** flow for long corpus grids: cells reference a
-//! deduplicated listing table (a mode sweep over one program ships — and
-//! parses — the listing once instead of per cell), the server enqueues the
-//! grid on its work queue and answers `TICKET` immediately, and the client
-//! collects results with `WATCH` (stream until `DONE`) or `POLL` (one
-//! status frame) — on the same connection or any later one, so a dropped
-//! connection loses nothing the server already computed. A finished ticket
-//! is consumed by the `WATCH` that drains it.
+//! `SUBMIT` enqueues the grid on the server's work queue and answers
+//! `TICKET` at once. Cells reference the listing table, so a mode sweep
+//! over one program ships (and parses) the listing once instead of per
+//! cell. The client collects results with `WATCH` (stream until `DONE`)
+//! or `POLL` (one status frame), on the same connection or any later one,
+//! so a dropped connection loses nothing the server already computed. A
+//! finished ticket is consumed by the `WATCH` that drains it. A traced
+//! submission (nonzero trace id) has the shard stamp its spans under the
+//! client's trace, with the given span as their root's parent, and ship
+//! them back in the `SPANS` frame.
 //!
 //! Programs travel as their **assembly listing** — the workspace's pinned
 //! program serialization (round-trips through `isa::parse_program`, and
@@ -91,13 +75,11 @@ use crate::wire::{
 };
 
 /// Request kinds (client → server).
-const REQ_SUBMIT: u8 = 1;
 const REQ_STATS: u8 = 2;
 const REQ_SHUTDOWN: u8 = 3;
-const REQ_SUBMIT2: u8 = 4;
 const REQ_WATCH: u8 = 5;
 const REQ_POLL: u8 = 6;
-const REQ_SUBMIT3: u8 = 7;
+const REQ_SUBMIT: u8 = 7;
 const REQ_METRICS: u8 = 8;
 const REQ_PROFILE: u8 = 9;
 /// Response kinds (server → client).
@@ -264,9 +246,7 @@ pub struct RemoteServerStats {
     pub shard_index: u64,
     /// The cluster's shard count; 0 means the server runs unsharded.
     pub shard_count: u64,
-    /// Seconds since the server bound its listener. (This and the fields
-    /// below are 0 when talking to a pre-telemetry server: they ride at
-    /// the end of the `STATS` payload and old servers simply omit them.)
+    /// Seconds since the server bound its listener.
     pub uptime_s: u64,
     /// Tickets currently live and still executing.
     pub tickets_active: u64,
@@ -306,7 +286,7 @@ struct ShardState {
 
 /// One ticketed submission's mutable state; results append in input order
 /// as the executor drains chunks, so `results.len()` is the ready count.
-/// For tickets submitted with trace context (`SUBMIT3`), `trace` holds the
+/// For tickets submitted with trace context, `trace` holds the
 /// client's context and `spans` buffers the server-side spans that the
 /// draining `WATCH` ships back in a `SPANS` frame.
 #[derive(Debug, Default)]
@@ -676,9 +656,7 @@ fn handle_conn(mut stream: TcpStream, ctx: &ConnCtx) {
             return;
         }
         let result = match kind {
-            REQ_SUBMIT => serve_submission(&mut stream, ctx, &payload),
-            REQ_SUBMIT2 => serve_submission2(&mut stream, ctx, &payload, None),
-            REQ_SUBMIT3 => serve_submission3(&mut stream, ctx, &payload),
+            REQ_SUBMIT => serve_submit(&mut stream, ctx, &payload),
             REQ_WATCH => serve_watch(&mut stream, ctx, &payload),
             REQ_POLL => serve_poll(&mut stream, ctx, &payload),
             REQ_STATS => serve_stats(&mut stream, ctx),
@@ -740,8 +718,6 @@ fn serve_stats(stream: &mut TcpStream, ctx: &ConnCtx) -> Result<(), ServeError> 
             }
         }
     }
-    // Telemetry extension (appended so pre-telemetry clients, which stop
-    // reading after the ten original counters, decode unchanged).
     let m = &ctx.metrics;
     w.put_u64(m.uptime_s());
     w.put_u64(
@@ -796,56 +772,12 @@ fn note_ownership(shard: &Option<Arc<ShardState>>, jobs: &[Job<u64>]) {
     shard.foreign.fetch_add(foreign, Ordering::Relaxed);
 }
 
-/// Decodes, validates and executes one protocol-v1 submission, streaming
-/// results in chunk-sized `RESULTS` frames and a final `DONE` on the
-/// submitting connection.
-fn serve_submission(
-    stream: &mut TcpStream,
-    ctx: &ConnCtx,
-    payload: &[u8],
-) -> Result<(), ServeError> {
-    let jobs = match decode_submission(payload, &ctx.tag_ok) {
-        Ok(jobs) => jobs,
-        Err(msg) => return reject(stream, &msg),
-    };
-    note_ownership(&ctx.shard, &jobs);
-    ctx.metrics.cells_in_flight.add(jobs.len() as u64);
-    let mut sent = 0u32;
-    for chunk in jobs.chunks(CHUNK) {
-        let t0 = Instant::now();
-        let outs = {
-            let mut svc = ctx.svc.lock().unwrap_or_else(PoisonError::into_inner);
-            svc.run_batch(chunk, |program, config, &tag| {
-                (ctx.build)(program, config, tag)
-            })
-        };
-        ctx.metrics.chunk_us.record_duration(t0.elapsed());
-        ctx.metrics.cells_executed.add(outs.len() as u64);
-        ctx.metrics.cells_in_flight.sub(chunk.len() as u64);
-        let mut w = Writer::new();
-        w.put_u32(sent);
-        w.put_u32(outs.len() as u32);
-        for out in &outs {
-            encode_outcome(&mut w, out);
-        }
-        write_frame(stream, RESP_RESULTS, &w.into_bytes())?;
-        sent += outs.len() as u32;
-    }
-    write_frame(stream, RESP_DONE, &sent.to_le_bytes())?;
-    Ok(())
-}
-
-/// Decodes and validates a protocol-v2 submission, enqueues it as a
-/// ticket on the work queue, and answers `TICKET` immediately; a detached
-/// executor drains the grid into the ticket's result buffer.
-fn serve_submission2(
-    stream: &mut TcpStream,
-    ctx: &ConnCtx,
-    payload: &[u8],
-    trace_ctx: Option<TraceCtx>,
-) -> Result<(), ServeError> {
-    let jobs = match decode_submission2(payload, &ctx.tag_ok) {
-        Ok(jobs) => jobs,
+/// Decodes and validates a `SUBMIT`, enqueues it as a ticket on the work
+/// queue, and answers `TICKET` immediately; a detached executor drains the
+/// grid into the ticket's result buffer.
+fn serve_submit(stream: &mut TcpStream, ctx: &ConnCtx, payload: &[u8]) -> Result<(), ServeError> {
+    let (trace_ctx, jobs) = match decode_submit(payload, &ctx.tag_ok) {
+        Ok(submission) => submission,
         Err(msg) => return reject(stream, &msg),
     };
     note_ownership(&ctx.shard, &jobs);
@@ -874,26 +806,6 @@ fn serve_submission2(
     Ok(())
 }
 
-/// `SUBMIT3` = trace context (trace id, parent span id) + a `SUBMIT2`
-/// payload: the server runs the ticket's spans under the *client's* trace
-/// so the merged JSONL reads as one tree.
-fn serve_submission3(
-    stream: &mut TcpStream,
-    ctx: &ConnCtx,
-    payload: &[u8],
-) -> Result<(), ServeError> {
-    let mut r = Reader::new(payload);
-    let (trace_id, parent) = match (r.get_u64(), r.get_u64()) {
-        (Ok(t), Ok(p)) if t != 0 => (t, p),
-        _ => return reject(stream, "malformed SUBMIT3 trace context"),
-    };
-    let trace_ctx = TraceCtx {
-        trace: TraceId(trace_id),
-        parent: SpanId(parent),
-    };
-    serve_submission2(stream, ctx, &payload[16..], Some(trace_ctx))
-}
-
 /// Marks the ticket failed if the executor dies before finishing (builder
 /// panic), so watchers report an error instead of waiting forever.
 struct FailGuard(TicketSlot);
@@ -910,12 +822,12 @@ impl Drop for FailGuard {
 }
 
 /// The ticket executor: drains the grid in chunks (releasing the service
-/// lock between chunks, exactly like the v1 path) and appends outcomes to
-/// the ticket's buffer in input order. For traced tickets it stamps one
-/// `ticket_exec` span covering the whole drain plus a `chunk` span per
-/// service-lock acquisition, all keyed by ticket id — buffered on the
-/// ticket (shipped back with `WATCH`) and mirrored to the server's own
-/// `HB_TRACE` sink, if any.
+/// lock between chunks, so concurrent tickets interleave) and appends
+/// outcomes to the ticket's buffer in input order. For traced tickets it
+/// stamps one `ticket_exec` span covering the whole drain plus a `chunk`
+/// span per service-lock acquisition, all keyed by ticket id — buffered
+/// on the ticket (shipped back with `WATCH`) and mirrored to the server's
+/// own `HB_TRACE` sink, if any.
 fn run_ticket(
     slot: &TicketSlot,
     id: u64,
@@ -1032,9 +944,7 @@ fn serve_watch(stream: &mut TcpStream, ctx: &ConnCtx, payload: &[u8]) -> Result<
         }
         if finished && sent == total {
             // Ship the server-side spans ahead of DONE — only for tickets
-            // that were submitted with trace context, so a pre-telemetry
-            // client (which can never have created one) never sees the
-            // SPANS frame kind.
+            // that were submitted with trace context.
             let spans = {
                 let st = slot.0.lock().unwrap_or_else(PoisonError::into_inner);
                 if st.trace.is_some() {
@@ -1093,68 +1003,24 @@ fn serve_poll(stream: &mut TcpStream, ctx: &ConnCtx, payload: &[u8]) -> Result<(
     Ok(())
 }
 
-/// Validates one decoded job (program + config + tag) before anything
-/// executes, so rejections come back as `ERR` frames, never worker panics.
-fn validate_job(
-    i: u32,
-    program: &Program,
-    config: &MachineConfig,
-    tag: u64,
+/// Decodes a `SUBMIT` payload: the trace header, then the deduplicated
+/// listing table — each distinct program parses and validates once — then
+/// the cells, which reference table entries by index. Everything is
+/// validated before anything executes, so rejections come back as `ERR`
+/// frames, never worker panics.
+fn decode_submit(
+    payload: &[u8],
     tag_ok: &Arc<TagCheck>,
-) -> Result<(), String> {
-    program
-        .validate()
-        .map_err(|e| format!("job {i}: invalid program: {e}"))?;
-    // Reject-before-execute covers the config too: geometry the hierarchy
-    // constructors would `assert!` on must come back as an ERR frame, not
-    // a worker panic under the service lock.
-    config
-        .hierarchy
-        .validate()
-        .map_err(|e| format!("job {i}: invalid hierarchy config: {e}"))?;
-    if !tag_ok(tag) {
-        return Err(format!("job {i}: unknown machine-builder tag {tag}"));
-    }
-    Ok(())
-}
-
-/// Decodes a v1 `SUBMIT` payload into service jobs, validating programs
-/// and tags up front (reject-before-execute).
-fn decode_submission(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<u64>>, String> {
+) -> Result<(Option<TraceCtx>, Vec<Job<u64>>), String> {
     let mut r = Reader::new(payload);
-    let count = r.get_u32().map_err(|e| e.to_string())?;
-    if count as usize > MAX_GRID {
-        return Err(format!(
-            "grid of {count} cells exceeds the {MAX_GRID}-cell limit"
-        ));
-    }
-    let mut jobs = Vec::with_capacity(count.min(4096) as usize);
-    for i in 0..count {
-        let listing = r.get_str().map_err(|e| format!("job {i}: {e}"))?;
-        let program = hardbound_isa::parse_program(listing)
-            .map_err(|e| format!("job {i}: unparseable program listing: {e}"))?;
-        let config = decode_config(&mut r).map_err(|e| format!("job {i}: {e}"))?;
-        let salt = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
-        let tag = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
-        validate_job(i, &program, &config, tag, tag_ok)?;
-        jobs.push(Job {
-            program,
-            config,
-            salt,
-            tag,
-        });
-    }
-    if !r.is_exhausted() {
-        return Err("trailing bytes after the last job".to_owned());
-    }
-    Ok(jobs)
-}
-
-/// Decodes a v2 `SUBMIT2` payload: the deduplicated listing table parses
-/// (and validates) once per distinct program, then cells reference table
-/// entries by index.
-fn decode_submission2(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<u64>>, String> {
-    let mut r = Reader::new(payload);
+    let trace_ctx = match (r.get_u64(), r.get_u64()) {
+        (Ok(0), Ok(0)) => None,
+        (Ok(trace), Ok(parent)) if trace != 0 => Some(TraceCtx {
+            trace: TraceId(trace),
+            parent: SpanId(parent),
+        }),
+        _ => return Err("malformed SUBMIT trace header".to_owned()),
+    };
     let listings = r.get_u32().map_err(|e| e.to_string())?;
     if listings as usize > MAX_GRID {
         return Err(format!(
@@ -1187,8 +1053,8 @@ fn decode_submission2(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<
         let config = decode_config(&mut r).map_err(|e| format!("job {i}: {e}"))?;
         let salt = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
         let tag = r.get_u64().map_err(|e| format!("job {i}: {e}"))?;
-        // The program was validated with the table; only config and tag
-        // remain per cell.
+        // Geometry the hierarchy constructors would `assert!` on must come
+        // back as an ERR frame, not a worker panic under the service lock.
         config
             .hierarchy
             .validate()
@@ -1206,12 +1072,13 @@ fn decode_submission2(payload: &[u8], tag_ok: &Arc<TagCheck>) -> Result<Vec<Job<
     if !r.is_exhausted() {
         return Err("trailing bytes after the last job".to_owned());
     }
-    Ok(jobs)
+    Ok((trace_ctx, jobs))
 }
 
-/// Encodes a v2 `SUBMIT2` payload: identical listings collapse into one
-/// table entry referenced by index (a mode×encoding sweep over one
-/// program ships the listing once, not once per cell).
+/// Encodes the listing table and cells of a `SUBMIT` payload (everything
+/// after the trace header): identical listings collapse into one table
+/// entry referenced by index, so a mode×encoding sweep over one program
+/// ships the listing once, not once per cell.
 #[must_use]
 pub fn encode_submission2(jobs: &[WireJob]) -> Vec<u8> {
     let mut table: Vec<&str> = Vec::new();
@@ -1275,86 +1142,57 @@ impl Client {
         Ok(Client { stream })
     }
 
-    /// Submits `jobs` over the v1 synchronous flow and collects the
-    /// streamed outcomes, in input order.
+    /// Submits `jobs` and collects their outcomes, in input order:
+    /// [`Client::submit`] + [`Client::watch_into`].
     ///
     /// # Errors
     ///
-    /// [`ServeError`] on oversized grids (rejected before anything is
-    /// sent), socket failures, malformed frames, or a server rejection.
+    /// [`ServeError`] as for the two halves.
     pub fn run_jobs(&mut self, jobs: &[WireJob]) -> Result<Vec<RunOutcome>, ServeError> {
-        if jobs.len() > MAX_GRID {
-            return Err(ServeError::Oversized { cells: jobs.len() });
-        }
-        let mut w = Writer::new();
-        w.put_u32(jobs.len() as u32);
-        for job in jobs {
-            w.put_str(&job.listing);
-            encode_config(&mut w, &job.config);
-            w.put_u64(job.salt);
-            w.put_u64(job.tag);
-        }
-        write_frame(&mut self.stream, REQ_SUBMIT, &w.into_bytes())?;
-
+        let ticket = self.submit(jobs)?;
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        self.collect(&mut results, &mut Vec::new())?;
+        self.watch_into(ticket, &mut results)?;
         results
             .into_iter()
             .collect::<Option<Vec<RunOutcome>>>()
             .ok_or(ServeError::Protocol("server omitted results"))
     }
 
-    /// Submits `jobs` over the v2 ticket flow (deduplicated listing
-    /// table) and returns the ticket id; collect with [`Client::watch`] /
+    /// Submits `jobs` and returns the ticket id; collect with
     /// [`Client::watch_into`] or check progress with [`Client::poll`] —
     /// from this connection or any later one.
     ///
     /// # Errors
     ///
-    /// [`ServeError`] on oversized grids, socket failures, malformed
-    /// frames, or a server rejection.
+    /// [`ServeError`] on oversized grids (rejected before anything is
+    /// sent), socket failures, malformed frames, or a server rejection.
     pub fn submit(&mut self, jobs: &[WireJob]) -> Result<u64, ServeError> {
-        self.submit_traced(jobs, None).map(|(ticket, _)| ticket)
+        self.submit_traced(jobs, None)
     }
 
     /// [`Client::submit`] carrying trace context: the server stamps its
     /// spans under `ctx.trace` with `ctx.parent` as their root's parent
-    /// and returns them with the draining `WATCH`. Returns the ticket and
-    /// whether the server accepted the context — a pre-telemetry server
-    /// rejects the `SUBMIT3` frame kind, and this method then falls back
-    /// to a plain `SUBMIT2` on the same connection (`false`: results are
-    /// identical, server-side spans are simply absent).
+    /// and returns them with the draining `WATCH`.
     ///
     /// # Errors
     ///
-    /// [`ServeError`] on oversized grids, socket failures, malformed
-    /// frames, or a server rejection.
+    /// As for [`Client::submit`].
     pub fn submit_traced(
         &mut self,
         jobs: &[WireJob],
         ctx: Option<TraceCtx>,
-    ) -> Result<(u64, bool), ServeError> {
+    ) -> Result<u64, ServeError> {
         if jobs.len() > MAX_GRID {
             return Err(ServeError::Oversized { cells: jobs.len() });
         }
-        let encoded = encode_submission2(jobs);
-        if let Some(ctx) = ctx {
-            let mut w = Writer::new();
-            w.put_u64(ctx.trace.0);
-            w.put_u64(ctx.parent.0);
-            let mut payload = w.into_bytes();
-            payload.extend_from_slice(&encoded);
-            write_frame(&mut self.stream, REQ_SUBMIT3, &payload)?;
-            match self.read_ticket(jobs.len()) {
-                Ok(ticket) => return Ok((ticket, true)),
-                // An old server leaves the connection open after rejecting
-                // an unknown frame kind; retry without trace context.
-                Err(ServeError::Server(msg)) if msg.contains("unknown request kind") => {}
-                Err(e) => return Err(e),
-            }
-        }
-        write_frame(&mut self.stream, REQ_SUBMIT2, &encoded)?;
-        self.read_ticket(jobs.len()).map(|ticket| (ticket, false))
+        let (trace, parent) = ctx.map_or((0, 0), |c| (c.trace.0, c.parent.0));
+        let mut w = Writer::new();
+        w.put_u64(trace);
+        w.put_u64(parent);
+        let mut payload = w.into_bytes();
+        payload.extend_from_slice(&encode_submission2(jobs));
+        write_frame(&mut self.stream, REQ_SUBMIT, &payload)?;
+        self.read_ticket(jobs.len())
     }
 
     fn read_ticket(&mut self, cells: usize) -> Result<u64, ServeError> {
@@ -1414,32 +1252,6 @@ impl Client {
         let mut w = Writer::new();
         w.put_u64(ticket);
         write_frame(&mut self.stream, REQ_WATCH, &w.into_bytes())?;
-        self.collect(results, spans)
-    }
-
-    /// [`Client::submit`] + [`Client::watch_into`]: the v2 analogue of
-    /// [`Client::run_jobs`].
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError`] as for the two halves.
-    pub fn run_jobs_v2(&mut self, jobs: &[WireJob]) -> Result<Vec<RunOutcome>, ServeError> {
-        let ticket = self.submit(jobs)?;
-        let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
-        self.watch_into(ticket, &mut results)?;
-        results
-            .into_iter()
-            .collect::<Option<Vec<RunOutcome>>>()
-            .ok_or(ServeError::Protocol("server omitted results"))
-    }
-
-    /// Consumes `RESULTS` (and `SPANS`) frames into `results`/`spans`
-    /// until `DONE`.
-    fn collect(
-        &mut self,
-        results: &mut [Option<RunOutcome>],
-        spans: &mut Vec<SpanEvent>,
-    ) -> Result<(), ServeError> {
         loop {
             let (kind, payload) = read_frame(&mut self.stream)?
                 .ok_or(ServeError::Protocol("server closed mid-submission"))?;
@@ -1505,7 +1317,7 @@ impl Client {
             return Err(ServeError::Protocol("expected a STATS response"));
         }
         let mut r = Reader::new(&payload);
-        let mut stats = RemoteServerStats {
+        Ok(RemoteServerStats {
             hits: r.get_u64()?,
             misses: r.get_u64()?,
             evicted: r.get_u64()?,
@@ -1516,18 +1328,12 @@ impl Client {
             foreign_cells: r.get_u64()?,
             shard_index: r.get_u64()?,
             shard_count: r.get_u64()?,
-            ..RemoteServerStats::default()
-        };
-        // The telemetry extension rides at the tail; a pre-telemetry
-        // server's payload simply ends here.
-        if r.remaining() >= 40 {
-            stats.uptime_s = r.get_u64()?;
-            stats.tickets_active = r.get_u64()?;
-            stats.tickets_finished = r.get_u64()?;
-            stats.tickets_gcd = r.get_u64()?;
-            stats.cells_in_flight = r.get_u64()?;
-        }
-        Ok(stats)
+            uptime_s: r.get_u64()?,
+            tickets_active: r.get_u64()?,
+            tickets_finished: r.get_u64()?,
+            tickets_gcd: r.get_u64()?,
+            cells_in_flight: r.get_u64()?,
+        })
     }
 
     /// Fetches the server's metrics as Prometheus-style text (the same
@@ -1536,8 +1342,7 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError`] on socket failures, malformed frames, or a server
-    /// rejection (a pre-telemetry server answers `ERR "unknown request
-    /// kind"`).
+    /// rejection.
     pub fn metrics(&mut self) -> Result<String, ServeError> {
         write_frame(&mut self.stream, REQ_METRICS, &[])?;
         let (kind, payload) =
@@ -1561,9 +1366,7 @@ impl Client {
     /// # Errors
     ///
     /// [`ServeError`] on socket failures, malformed frames, an unparseable
-    /// profile, or a server rejection (a pre-profile server answers `ERR
-    /// "unknown request kind"` — callers merging a cluster treat that
-    /// shard as an empty profile).
+    /// profile, or a server rejection.
     pub fn profile(&mut self) -> Result<hardbound_telemetry::Profile, ServeError> {
         write_frame(&mut self.stream, REQ_PROFILE, &[])?;
         let (kind, payload) =
@@ -1672,22 +1475,24 @@ mod tests {
     fn ticket_flow_matches_v1_and_dedups_listings() {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default().with_fuel(1_000_000);
-        // 40 cells over 2 distinct programs: the v2 payload carries 2
-        // listings, the v1 payload 40 copies.
+        // A mode sweep over one program ships its listing once: 40 cells
+        // over 2 distinct programs encode 2 listings, not 40.
         let jobs: Vec<WireJob> = (0..40)
             .map(|k| WireJob::new(&counting_program(5 + (k % 2)), cfg.clone(), k as u64, 0))
             .collect();
-        let v2 = encode_submission2(&jobs);
+        let encoded = encode_submission2(&jobs);
         let per_cell_overhead = 4 + 8 + 8 + 256; // index + salt + tag + config upper bound
         assert!(
-            v2.len() < 2 * jobs[0].listing.len() + 40 * per_cell_overhead,
+            encoded.len() < 2 * jobs[0].listing.len() + 40 * per_cell_overhead,
             "the listing table must be deduplicated: {} bytes",
-            v2.len()
+            encoded.len()
         );
 
+        // The ticketed flow (submit, then watch) returns exactly what an
+        // in-process engine run of each cell returns.
         let expected = expected_outcomes(&jobs);
         let mut client = Client::connect(addr).unwrap();
-        let out = client.run_jobs_v2(&jobs).unwrap();
+        let out = client.run_jobs(&jobs).unwrap();
         assert_eq!(out, expected, "ticketed execution must be byte-identical");
 
         client.shutdown().unwrap();
@@ -1741,66 +1546,76 @@ mod tests {
         let (addr, handle) = spawn_server();
         let cfg = MachineConfig::default();
         let mut client = Client::connect(addr).unwrap();
+        let mut expect_rejection =
+            |jobs: &[WireJob], needle: &str| match client.submit(jobs).unwrap_err() {
+                ServeError::Server(msg) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected a server rejection, got {other}"),
+            };
 
-        let mut bad_tag = vec![WireJob::new(&counting_program(3), cfg.clone(), 0, 99)];
-        match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("tag 99"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        // The v2 path validates identically (rejected before a ticket is
-        // ever allocated).
-        match client.submit(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("tag 99"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        bad_tag[0].tag = 0;
-        bad_tag[0].listing = "frobnicate a0\n".to_owned();
-        match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("unparseable"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        match client.submit(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("unparseable"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
-        }
+        // Rejected before a ticket is ever allocated.
+        let mut bad = vec![WireJob::new(&counting_program(3), cfg.clone(), 0, 99)];
+        expect_rejection(&bad, "tag 99");
+        bad[0].tag = 0;
+        bad[0].listing = "frobnicate a0\n".to_owned();
+        expect_rejection(&bad, "unparseable");
         // A config whose geometry would panic the cache constructors is
         // rejected up front, not executed.
-        bad_tag[0].listing = counting_program(3).disassemble();
-        bad_tag[0].config.hierarchy.l1_ways = 0;
-        match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("invalid hierarchy"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        bad_tag[0].config.hierarchy.l1_ways = 4;
-        bad_tag[0].config.hierarchy.l1_bytes = 12345; // not a power of two
-        match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => assert!(msg.contains("power of two"), "{msg}"),
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        // A TLB whose entry count does not divide into its way count used
-        // to silently truncate the TLB; it is now rejected at the wire, on
-        // both protocol versions.
-        bad_tag[0].config.hierarchy.l1_bytes = 8192;
-        bad_tag[0].config.hierarchy.tlb_entries = 387;
-        bad_tag[0].config.hierarchy.tlb_ways = 6;
-        match client.run_jobs(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => {
-                assert!(msg.contains("387 entries do not divide"), "{msg}");
-            }
-            other => panic!("expected a server rejection, got {other}"),
-        }
-        match client.submit(&bad_tag).unwrap_err() {
-            ServeError::Server(msg) => {
-                assert!(msg.contains("387 entries do not divide"), "{msg}");
-            }
-            other => panic!("expected a server rejection, got {other}"),
-        }
+        bad[0].listing = counting_program(3).disassemble();
+        bad[0].config.hierarchy.l1_ways = 0;
+        expect_rejection(&bad, "invalid hierarchy");
+        bad[0].config.hierarchy.l1_ways = 4;
+        bad[0].config.hierarchy.l1_bytes = 12345; // not a power of two
+        expect_rejection(&bad, "power of two");
+        // A TLB whose entry count does not divide into its way count is
+        // rejected at the wire.
+        bad[0].config.hierarchy.l1_bytes = 8192;
+        bad[0].config.hierarchy.tlb_entries = 387;
+        bad[0].config.hierarchy.tlb_ways = 6;
+        expect_rejection(&bad, "387 entries do not divide");
 
         // The connection survives rejections; a good job still runs.
         let good = vec![WireJob::new(&counting_program(3), cfg, 0, 0)];
         let outs = client.run_jobs(&good).unwrap();
         assert_eq!(outs[0].ints, vec![3]);
         assert_eq!(client.stats().unwrap().misses, 1, "rejections ran nothing");
+
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
+
+    /// A `SUBMIT` whose trace header is truncated, or names a parent span
+    /// without a trace, is rejected whole: nothing executes and the
+    /// connection stays usable.
+    #[test]
+    fn malformed_trace_headers_are_rejected_without_executing() {
+        let (addr, handle) = spawn_server();
+        let cfg = MachineConfig::default();
+        let jobs = vec![WireJob::new(&counting_program(3), cfg, 0, 0)];
+        let mut raw = TcpStream::connect(addr).unwrap();
+        let mut client = Client::connect(addr).unwrap();
+        let misses = client.stats().unwrap().misses;
+
+        let payload = |trace: u64, parent: u64| {
+            let mut w = Writer::new();
+            w.put_u64(trace);
+            w.put_u64(parent);
+            let mut p = w.into_bytes();
+            p.extend_from_slice(&encode_submission2(&jobs));
+            p
+        };
+        for bad in [payload(7, 0)[..5].to_vec(), payload(0, 42)] {
+            write_frame(&mut raw, REQ_SUBMIT, &bad).unwrap();
+            let (kind, body) = read_frame(&mut raw).unwrap().unwrap();
+            assert_eq!(kind, RESP_ERR);
+            let msg = Reader::new(&body).get_str().unwrap().to_owned();
+            assert!(msg.contains("trace header"), "{msg}");
+        }
+        assert_eq!(client.stats().unwrap().misses, misses, "nothing executed");
+
+        // The rejecting connection still serves a well-formed SUBMIT.
+        write_frame(&mut raw, REQ_SUBMIT, &payload(0, 0)).unwrap();
+        let (kind, _) = read_frame(&mut raw).unwrap().unwrap();
+        assert_eq!(kind, RESP_TICKET);
 
         client.shutdown().unwrap();
         handle.join().unwrap();
@@ -1860,7 +1675,10 @@ mod tests {
         // the submission is rejected, nothing executes.
         {
             let mut raw = TcpStream::connect(addr).unwrap();
-            let payload = 3u32.to_le_bytes(); // promises 3 jobs, provides none
+            // An untraced header, then a table promising 3 listings and
+            // providing none.
+            let mut payload = [0u8; 20];
+            payload[16..].copy_from_slice(&3u32.to_le_bytes());
             let len = (payload.len() + 1) as u32;
             raw.write_all(&len.to_le_bytes()).unwrap();
             raw.write_all(&[REQ_SUBMIT]).unwrap();
@@ -1881,6 +1699,19 @@ mod tests {
         handle.join().unwrap();
     }
 
+    /// The scripted fake servers' opening: answer the `SUBMIT` with a
+    /// ticket for `cells` cells, then swallow the `WATCH`.
+    fn ticket_then_watch(stream: &mut TcpStream, cells: u32) {
+        let (kind, _) = read_frame(stream).unwrap().unwrap();
+        assert_eq!(kind, REQ_SUBMIT);
+        let mut w = Writer::new();
+        w.put_u64(1);
+        w.put_u32(cells);
+        write_frame(stream, RESP_TICKET, &w.into_bytes()).unwrap();
+        let (kind, _) = read_frame(stream).unwrap().unwrap();
+        assert_eq!(kind, REQ_WATCH);
+    }
+
     /// A scripted fake server delivering index 0 twice: the client must
     /// fail loudly instead of silently overwriting the filled slot.
     #[test]
@@ -1898,7 +1729,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut stream).unwrap(); // swallow the SUBMIT
+            ticket_then_watch(&mut stream, 2);
             let frame = |start: u32| {
                 let mut w = Writer::new();
                 w.put_u32(start);
@@ -1932,7 +1763,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let fake = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut stream).unwrap();
+            ticket_then_watch(&mut stream, 1);
             let mut w = Writer::new();
             w.put_u32(u32::MAX); // start far past the grid
             w.put_u32(1);
@@ -1960,10 +1791,9 @@ mod tests {
         let trace = TraceId(hardbound_telemetry::trace::fresh_id());
         let parent = SpanId(hardbound_telemetry::trace::fresh_id());
         let mut client = Client::connect(addr).unwrap();
-        let (ticket, traced) = client
+        let ticket = client
             .submit_traced(&jobs, Some(TraceCtx { trace, parent }))
             .unwrap();
-        assert!(traced, "a telemetry server must accept SUBMIT3");
         let mut results: Vec<Option<RunOutcome>> = vec![None; jobs.len()];
         let mut spans = Vec::new();
         client
@@ -2021,42 +1851,6 @@ mod tests {
         handle.join().unwrap();
     }
 
-    /// A scripted "old" server that rejects the SUBMIT3 frame kind the
-    /// way the real dispatch loop does — the client must transparently
-    /// fall back to SUBMIT2 on the same connection.
-    #[test]
-    fn submit_traced_falls_back_to_submit2_on_an_old_server() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let fake = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let (kind, _) = read_frame(&mut stream).unwrap().unwrap();
-            assert_eq!(kind, REQ_SUBMIT3);
-            let mut w = Writer::new();
-            w.put_str("unknown request kind");
-            write_frame(&mut stream, RESP_ERR, &w.into_bytes()).unwrap();
-            let (kind, payload) = read_frame(&mut stream).unwrap().unwrap();
-            assert_eq!(kind, REQ_SUBMIT2, "client must retry without context");
-            let tag_ok: Arc<TagCheck> = Arc::new(|_| true);
-            let jobs = decode_submission2(&payload, &tag_ok).unwrap();
-            let mut w = Writer::new();
-            w.put_u64(77);
-            w.put_u32(jobs.len() as u32);
-            write_frame(&mut stream, RESP_TICKET, &w.into_bytes()).unwrap();
-        });
-        let cfg = MachineConfig::default();
-        let jobs = vec![WireJob::new(&counting_program(3), cfg, 0, 0)];
-        let ctx = TraceCtx {
-            trace: TraceId(1),
-            parent: SpanId(2),
-        };
-        let mut client = Client::connect(addr).unwrap();
-        let (ticket, traced) = client.submit_traced(&jobs, Some(ctx)).unwrap();
-        assert_eq!(ticket, 77);
-        assert!(!traced, "fallback must report the lost trace context");
-        fake.join().unwrap();
-    }
-
     #[test]
     fn stats_and_metrics_report_ticket_lifecycle_and_cells() {
         let (addr, handle) = spawn_server();
@@ -2065,8 +1859,8 @@ mod tests {
             .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
-        client.run_jobs_v2(&jobs).unwrap();
-        client.run_jobs_v2(&jobs).unwrap(); // warm replay, still "executed"
+        client.run_jobs(&jobs).unwrap();
+        client.run_jobs(&jobs).unwrap(); // warm replay, still "executed"
 
         let stats = client.stats().unwrap();
         assert_eq!(stats.tickets_finished, 2);
@@ -2198,7 +1992,7 @@ mod tests {
             .map(|k| WireJob::new(&counting_program(5 + k), cfg.clone(), 0, 0))
             .collect();
         let mut client = Client::connect(addr).unwrap();
-        client.run_jobs_v2(&jobs).unwrap();
+        client.run_jobs(&jobs).unwrap();
         let stats = client.stats().unwrap();
         assert_eq!(stats.shard_index, 0);
         assert_eq!(stats.shard_count, 3);

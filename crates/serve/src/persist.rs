@@ -21,7 +21,7 @@ use std::path::Path;
 
 use hardbound_core::{Machine, MachineConfig, RunOutcome};
 use hardbound_exec::service::Job;
-use hardbound_exec::{CorpusService, ProgramId, ServiceStats};
+use hardbound_exec::{CorpusService, ServiceStats};
 use hardbound_isa::Program;
 
 use crate::store::{StoreLog, StoreLogStats};
@@ -126,7 +126,7 @@ impl PersistentService {
     }
 
     /// Drains the store's insert journal into the log. Keys evicted or
-    /// invalidated since their insert no longer resolve and are skipped —
+    /// expired since their insert no longer resolve and are skipped —
     /// the log only ever holds outcomes the store vouched for.
     fn persist_dirty(&mut self) {
         let Some(log) = &mut self.log else { return };
@@ -148,7 +148,8 @@ impl PersistentService {
     }
 
     /// Compacts the log to exactly the store's live entries with an
-    /// atomic rewrite (drops superseded appends and invalidated keys).
+    /// atomic rewrite (drops superseded appends and evicted or expired
+    /// keys).
     /// A no-op without persistence.
     ///
     /// # Errors
@@ -160,15 +161,6 @@ impl PersistentService {
         };
         log.compact(self.svc.store().entries().map(|(k, o)| (*k, o)))?;
         log.flush()
-    }
-
-    /// Invalidates one program image everywhere (see
-    /// [`CorpusService::invalidate_program`]). The log's stale records
-    /// are harmless — their keys are never looked up again if the image
-    /// changed, and replay is deterministic if it did not — and are
-    /// dropped by the next [`PersistentService::checkpoint`].
-    pub fn invalidate_program(&mut self, pid: ProgramId) -> (usize, u64) {
-        self.svc.invalidate_program(pid)
     }
 
     /// Snapshot of the service's and the log's counters.
@@ -268,11 +260,10 @@ mod tests {
         let jobs: Vec<Job<()>> = (0..4).map(|k| job(10 + k)).collect();
         let mut svc = PersistentService::open(1, &path).unwrap();
         svc.run_batch(&jobs, build);
-        // Invalidate + re-run: the log now holds both generations.
-        let pid = jobs[0].key().0;
-        assert_eq!(svc.invalidate_program(pid).0, 1);
+        // Expire + re-run: the log now holds both generations.
+        svc.set_ttl(Some(std::time::Duration::ZERO));
         svc.run_batch(&jobs, build);
-        assert_eq!(svc.stats().log.unwrap().appended, 5);
+        assert_eq!(svc.stats().log.unwrap().appended, 8);
         let fat = std::fs::metadata(&path).unwrap().len();
         svc.checkpoint().unwrap();
         assert!(std::fs::metadata(&path).unwrap().len() < fat);

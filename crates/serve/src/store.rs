@@ -310,7 +310,7 @@ impl StoreLog {
 
     /// Atomically rewrites the log to hold exactly `entries`: writes a
     /// sibling temporary file and renames it over the log, then reopens
-    /// the append handle. Drops records superseded by invalidation and
+    /// the append handle. Drops records of evicted or expired entries and
     /// duplicate appends — the log's steady-state size becomes the store's
     /// live size.
     ///

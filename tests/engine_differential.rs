@@ -23,7 +23,7 @@ use hardbound::core::{HierPath, Machine, MachineConfig, MetaPath, PointerEncodin
 use hardbound::exec::{Engine, OptConfig};
 use hardbound::isa::{fuzz, FuncId, Function, Inst, Program, SysCall};
 use hardbound::runtime::{build_machine, build_machine_with_config, compile, machine_config};
-use hardbound::workloads::{by_name, Scale};
+use hardbound::workloads::{all, by_name, Scale};
 
 const ALL_MODES: [Mode; 5] = [
     Mode::Baseline,
@@ -182,10 +182,9 @@ fn violation_corpus_sample_agrees_on_all_15_configurations() {
 
 #[test]
 fn workloads_agree_on_all_15_configurations() {
-    for bench in ["treeadd", "health"] {
-        let w = by_name(bench, Scale::Smoke).expect("workload exists");
+    for w in all(Scale::Smoke) {
         for (mode, encoding) in all_configs() {
-            differential_cb(bench, &w.source, mode, encoding);
+            differential_cb(w.name, &w.source, mode, encoding);
         }
     }
 }

@@ -7,10 +7,11 @@
 //!    answering from its result store returns the byte-identical
 //!    [`RunOutcome`] — full `ExecStats` and `HierarchyStats` included —
 //!    that a cold service (and the direct engine path) computes.
-//! 2. **Invalidation is exact.** Mutating one program invalidates exactly
-//!    its keys: after `invalidate_program`, that image's cells re-execute
-//!    while every other program's cells still replay, and the store drops
-//!    precisely the invalidated program's entries.
+//! 2. **Keying is exact.** Mutating one program changes exactly its keys:
+//!    the mutated image gets new `ProgramId`s, so every one of its cells
+//!    misses the store, while every other program's cells still replay.
+//!    Nothing is ever invalidated; the store's hit and miss counters show
+//!    it.
 
 use hardbound::compiler::Mode;
 use hardbound::core::{Machine, MachineConfig, MetaPath, PointerEncoding, RunOutcome};
@@ -19,6 +20,7 @@ use hardbound::exec::{CorpusService, Engine, ProgramId};
 use hardbound::isa::{layout, FunctionBuilder, Program, Reg, Width};
 use hardbound::runtime::machine_config;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// One generated op over a small bounded working region (a compact cousin
 /// of the metadata-fast-path generator: pointer spills, tag-clearing
@@ -153,7 +155,8 @@ proptest! {
         }
     }
 
-    /// Invariant 2: mutating one program invalidates exactly its keys.
+    /// Invariant 2: a mutated image misses on every cell; every cell of
+    /// an unchanged image replays.
     #[test]
     fn mutation_invalidates_exactly_the_mutated_programs_keys(
         ops_a in prop::collection::vec(op(), 1..30),
@@ -165,48 +168,53 @@ proptest! {
         let mut ops_b = ops_b;
         ops_b.push(MOp::StoreInt(0, 0xb));
         let b = build_program(&ops_b);
+        // The mutation: one more store. Its last store differs from b's,
+        // so the mutated image is neither a nor b.
+        let mut ops_mutated = ops_a;
+        ops_mutated.push(MOp::StoreInt(1, 0xa));
+        let mutated = build_program(&ops_mutated);
 
-        let jobs: Vec<Job<Mode>> = axes
-            .iter()
-            .flat_map(|&(mode, encoding, meta)| {
-                [cell(&a, mode, encoding, meta), cell(&b, mode, encoding, meta)]
-            })
-            .collect();
+        // Cells alternate: even indices run `p`, odd indices run b.
+        let grid = |p: &Program| -> Vec<Job<Mode>> {
+            axes.iter()
+                .flat_map(|&(mode, encoding, meta)| {
+                    [cell(p, mode, encoding, meta), cell(&b, mode, encoding, meta)]
+                })
+                .collect()
+        };
         let mut svc = CorpusService::new(2);
-        let first = svc.run_batch(&jobs, build);
-        let stored = svc.store().len();
-        let a_keys: std::collections::HashSet<_> = jobs
-            .iter()
-            .filter(|j| j.program == a)
-            .map(Job::key)
-            .collect();
+        let first_jobs = grid(&a);
+        let first = svc.run_batch(&first_jobs, build);
 
-        // "Mutate" a: drop its cells, as a re-compiled image's new
-        // ProgramIds would leave them stranded. One image owns one
-        // ProgramId *per decode identity* (the HardBound extension and the
-        // metadata path are part of it), so a full mutation invalidates
-        // each of them.
-        prop_assert_eq!(ProgramId::of(&a, &jobs[0].config), jobs[0].key().0);
-        let pids: std::collections::HashSet<ProgramId> =
-            a_keys.iter().map(|&(pid, _)| pid).collect();
-        let mut dropped = 0;
-        for &pid in &pids {
-            dropped += svc.invalidate_program(pid).0;
-        }
-        prop_assert_eq!(
-            dropped, a_keys.len(),
-            "exactly a's stored cells die (one per distinct key)"
+        // One image owns one ProgramId *per decode identity* (the
+        // HardBound extension and the metadata path are part of it); the
+        // mutated image shares none of a's.
+        let a_pids: HashSet<ProgramId> =
+            first_jobs.iter().step_by(2).map(|j| j.key().0).collect();
+        let second_jobs = grid(&mutated);
+        let mutated_keys: HashSet<_> = second_jobs.iter().step_by(2).map(Job::key).collect();
+        prop_assert!(
+            mutated_keys.iter().all(|(pid, _)| !a_pids.contains(pid)),
+            "the mutated image must get new ProgramIds"
         );
-        prop_assert_eq!(svc.store().len(), stored - dropped, "b's cells survive");
 
         let before = svc.stats().store;
-        let second = svc.run_batch(&jobs, build);
-        prop_assert_eq!(&first, &second, "re-run after invalidation changes nothing");
+        let second = svc.run_batch(&second_jobs, build);
         let after = svc.stats().store;
         prop_assert_eq!(
             after.misses - before.misses,
-            a_keys.len() as u64,
-            "only a's distinct cells re-execute"
+            mutated_keys.len() as u64,
+            "every distinct cell of the mutated image executes"
         );
+        // Hits: every b cell, plus the in-batch duplicates of the mutated
+        // image's cells (they replay their first copy).
+        prop_assert_eq!(
+            after.hits - before.hits,
+            (second_jobs.len() - mutated_keys.len()) as u64,
+            "every cell of b replays"
+        );
+        for k in (1..second.len()).step_by(2) {
+            prop_assert_eq!(&first[k], &second[k], "b's replay differs");
+        }
     }
 }
