@@ -1,3 +1,6 @@
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::set_assoc::{Cache, CacheStats, FastPathStats};
 
 /// Which lookup machinery drives the simulated hierarchy. Mirrors
@@ -144,7 +147,7 @@ impl HierarchyConfig {
                 return Err(format!("{name} way count {ways} outside 1..=255"));
             }
             let blocks = bytes / self.block_bytes;
-            if blocks < ways as u64 || blocks % ways as u64 != 0 {
+            if blocks < ways as u64 || !blocks.is_multiple_of(ways as u64) {
                 return Err(format!(
                     "{name}: {blocks} blocks do not fill {ways}-way sets"
                 ));
@@ -157,7 +160,7 @@ impl HierarchyConfig {
         if self.tlb_ways == 0 || self.tlb_ways > 255 {
             return Err(format!("TLB way count {} outside 1..=255", self.tlb_ways));
         }
-        if self.tlb_entries % self.tlb_ways as u64 != 0 {
+        if !self.tlb_entries.is_multiple_of(self.tlb_ways as u64) {
             // sets = entries / ways rounds down, so without this check a
             // non-dividing way count could *validate* (truncated set count
             // happens to be a power of two) yet build a smaller TLB than
@@ -248,8 +251,53 @@ pub struct HierFastStats {
     pub fastpath_misses: u64,
 }
 
+/// Distinct 4 KB pages touched per access class — the measurement behind
+/// the paper's Figure 6 ("the number of additional distinct pages
+/// touched, compared to the baseline C versions", split into tag and
+/// base/bound metadata).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PageCounts {
+    /// Distinct data pages.
+    pub data: usize,
+    /// Distinct tag-metadata pages.
+    pub tag: usize,
+    /// Distinct base/bound shadow pages.
+    pub shadow: usize,
+}
+
+/// An identity hash for page numbers. Page numbers are already
+/// well-distributed small integers, so SipHash would be wasted work.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        // Spread low-entropy page numbers across hashbrown's bucket and
+        // control bits (fibonacci multiply; one cycle).
+        self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page sets only hash u64 keys");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+type PageSet = HashSet<u64, BuildHasherDefault<PageHasher>>;
+
 /// The simulated memory system: L1 data cache, tag metadata cache, shared
 /// L2, and a TLB per first-level structure (paper Figure 4).
+///
+/// It also counts the distinct 4 KB pages each access class touches
+/// ([`Hierarchy::pages`]). The count is taken at TLB fills: the TLBs use
+/// 4 KB blocks, so a page's first touch always misses and a hit proves
+/// an earlier touch of the same page. Data and shadow traffic share the
+/// dTLB but never a page — shadow space starts at 4 GB, above every data
+/// address — so each class's fills are exactly its own first touches, on
+/// any geometry and either [`HierPath`].
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     cfg: HierarchyConfig,
@@ -260,6 +308,9 @@ pub struct Hierarchy {
     dtlb: Cache,
     tag_tlb: Cache,
     stats: HierarchyStats,
+    data_pages: PageSet,
+    tag_pages: PageSet,
+    shadow_pages: PageSet,
 }
 
 impl Hierarchy {
@@ -279,6 +330,9 @@ impl Hierarchy {
             dtlb: Cache::with_sets(cfg.tlb_entries / cfg.tlb_ways as u64, cfg.tlb_ways, 4096),
             tag_tlb: Cache::with_sets(cfg.tlb_entries / cfg.tlb_ways as u64, cfg.tlb_ways, 4096),
             stats: HierarchyStats::default(),
+            data_pages: PageSet::default(),
+            tag_pages: PageSet::default(),
+            shadow_pages: PageSet::default(),
             path,
             cfg,
         };
@@ -301,12 +355,17 @@ impl Hierarchy {
     /// Performs one access of `class` at conceptual address `addr`,
     /// returning the stall cycles it incurs. Loads and stores are charged
     /// identically (write-allocate, penalties dominated by the fill).
+    /// `Data` addresses lie below 4 GB and `Shadow` addresses at or above
+    /// it (the layout the machine uses), which keeps the page counts of
+    /// the two classes apart.
     pub fn access(&mut self, class: AccessClass, addr: u64) -> u64 {
         let mut stall = 0;
         match class {
             AccessClass::Data | AccessClass::Shadow => {
+                debug_assert_eq!(class == AccessClass::Shadow, addr >> 32 != 0);
                 if !self.dtlb.access(addr) {
                     stall += self.cfg.tlb_miss_penalty;
+                    self.note_page(class, addr);
                 }
                 if !self.l1d.access(addr) {
                     stall += self.cfg.l1_miss_penalty;
@@ -318,6 +377,7 @@ impl Hierarchy {
             AccessClass::Tag => {
                 if !self.tag_tlb.access(addr) {
                     stall += self.cfg.tlb_miss_penalty;
+                    self.note_page(class, addr);
                 }
                 if !self.tag_cache.access(addr) {
                     stall += self.cfg.l1_miss_penalty;
@@ -342,6 +402,18 @@ impl Hierarchy {
             }
         }
         stall
+    }
+
+    /// Records the page of a TLB fill in its class's page set. Out of
+    /// line: the set insert stays off the TLB-hit path.
+    #[inline(never)]
+    fn note_page(&mut self, class: AccessClass, addr: u64) {
+        let pages = match class {
+            AccessClass::Data => &mut self.data_pages,
+            AccessClass::Tag => &mut self.tag_pages,
+            AccessClass::Shadow => &mut self.shadow_pages,
+        };
+        pages.insert(addr / 4096);
     }
 
     /// Fused charge for the common load/store shape: one data access at
@@ -379,6 +451,17 @@ impl Hierarchy {
     #[must_use]
     pub fn stats(&self) -> HierarchyStats {
         self.stats
+    }
+
+    /// Distinct 4 KB pages touched per access class (see the type docs
+    /// for why counting at TLB fills is exact).
+    #[must_use]
+    pub fn pages(&self) -> PageCounts {
+        PageCounts {
+            data: self.data_pages.len(),
+            tag: self.tag_pages.len(),
+            shadow: self.shadow_pages.len(),
+        }
     }
 
     /// Hit/miss counters of the L1 data cache.

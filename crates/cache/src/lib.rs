@@ -11,7 +11,8 @@
 //! [`Cache`] is a generic set-associative LRU array usable for both caches
 //! and TLBs; [`Hierarchy`] wires them together and charges stall cycles per
 //! access class (`Data`, `Tag`, `Shadow`) so the machine can attribute
-//! overhead the way Figure 5 does.
+//! overhead the way Figure 5 does. It also counts the distinct pages each
+//! class touches ([`PageCounts`], Figure 6), at TLB fills.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +21,6 @@ mod hierarchy;
 mod set_assoc;
 
 pub use hierarchy::{
-    AccessClass, HierFastStats, HierPath, Hierarchy, HierarchyConfig, HierarchyStats,
+    AccessClass, HierFastStats, HierPath, Hierarchy, HierarchyConfig, HierarchyStats, PageCounts,
 };
 pub use set_assoc::{checked_ratio, Cache, CacheStats, FastPathStats};

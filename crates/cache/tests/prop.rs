@@ -1,7 +1,13 @@
-//! Property test: the set-associative LRU cache must agree with a naive
-//! reference model (per-set `Vec` ordered by recency).
+//! Property tests: the set-associative LRU cache must agree with a naive
+//! reference model (per-set `Vec` ordered by recency), the event-driven
+//! hierarchy with the reference walk, and the hierarchy's distinct-page
+//! counts with a naive per-plane page set.
 
-use hardbound_cache::{AccessClass, Cache, HierFastStats, HierPath, Hierarchy, HierarchyConfig};
+use std::collections::HashSet;
+
+use hardbound_cache::{
+    AccessClass, Cache, HierFastStats, HierPath, Hierarchy, HierarchyConfig, PageCounts,
+};
 use proptest::prelude::*;
 
 /// Naive reference: each set is a recency-ordered vector of block tags.
@@ -105,5 +111,47 @@ proptest! {
         prop_assert_eq!(event.l2_stats(), walk.l2_stats());
         prop_assert_eq!(event.dtlb_stats(), walk.dtlb_stats());
         prop_assert_eq!(walk.fast_stats(), HierFastStats::default());
+    }
+
+    /// `Hierarchy::pages` counts pages at TLB fills; it must equal a naive
+    /// set of every access's `addr / 4096`, per class, on any geometry
+    /// (down to a 4-entry or direct-mapped TLB, where fills are frequent
+    /// and a page is refilled many times) and on both exact paths.
+    #[test]
+    fn page_counts_match_naive_page_sets(
+        tlb_entries_log in 2u32..9,
+        tlb_ways_log in 0u32..3,
+        l1_kb_log in 0u32..6,
+        tag_kb_log in 0u32..4,
+        walk in any::<bool>(),
+        stream in prop::collection::vec((0u64..3, 0u64..0x40_0000), 1..1500),
+    ) {
+        let cfg = HierarchyConfig {
+            l1_bytes: 1024 << l1_kb_log,
+            l2_bytes: 64 * 1024,
+            tlb_entries: 1 << tlb_entries_log,
+            tlb_ways: 1 << tlb_ways_log,
+            tag_cache_bytes: 1024 << tag_kb_log,
+            ..HierarchyConfig::default()
+        };
+        prop_assert!(cfg.validate().is_ok(), "{:?}", cfg.validate());
+        let path = if walk { HierPath::Walk } else { HierPath::Event };
+        let mut h = Hierarchy::with_path(cfg, path);
+        let mut naive: [HashSet<u64>; 3] = Default::default();
+        for &(kind, addr) in &stream {
+            let (class, addr) = match kind {
+                0 => (AccessClass::Data, addr),
+                1 => (AccessClass::Tag, 0x3_0000_0000 + (addr >> 3)),
+                _ => (AccessClass::Shadow, 0x1_0000_0000 + addr * 2),
+            };
+            h.access(class, addr);
+            naive[kind as usize].insert(addr / 4096);
+        }
+        let want = PageCounts {
+            data: naive[0].len(),
+            tag: naive[1].len(),
+            shadow: naive[2].len(),
+        };
+        prop_assert_eq!(h.pages(), want);
     }
 }

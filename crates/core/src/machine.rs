@@ -3,7 +3,7 @@ use std::collections::HashMap;
 use hardbound_cache::{AccessClass, Hierarchy};
 use hardbound_isa::layout;
 use hardbound_isa::{BinOp, FuncId, Inst, Operand, Program, Reg, SysCall, Width};
-use hardbound_mem::{Memory, PageTouches};
+use hardbound_mem::Memory;
 
 use crate::config::{MachineConfig, MetaPath, SafetyMode};
 use crate::forensics::{
@@ -79,7 +79,6 @@ pub struct Machine {
     metas: [Meta; Reg::COUNT],
     mem: Memory,
     hier: Hierarchy,
-    pages: PageTouches,
     func: FuncId,
     pc: u32,
     call_stack: Vec<Frame>,
@@ -186,7 +185,6 @@ impl Machine {
             regs: [0; Reg::COUNT],
             metas: [Meta::NONE; Reg::COUNT],
             mem,
-            pages: PageTouches::new(),
             func: entry,
             pc: 0,
             call_stack: Vec::new(),
@@ -415,9 +413,10 @@ impl Machine {
 
     fn finalize_stats(&mut self) {
         self.stats.hierarchy = self.hier.stats();
-        self.stats.data_pages = self.pages.data_pages();
-        self.stats.tag_pages = self.pages.tag_pages();
-        self.stats.shadow_pages = self.pages.shadow_pages();
+        let pages = self.hier.pages();
+        self.stats.data_pages = pages.data;
+        self.stats.tag_pages = pages.tag;
+        self.stats.shadow_pages = pages.shadow;
     }
 
     #[inline]
@@ -538,7 +537,6 @@ impl Machine {
             return;
         }
         self.last_data_block = block;
-        self.pages.touch_data(ea);
         self.hier.access(AccessClass::Data, u64::from(ea));
     }
 
@@ -596,7 +594,6 @@ impl Machine {
             self.hier.note_data_repeat();
         } else {
             self.last_data_block = data_block;
-            self.pages.touch_data(ea);
         }
         if tag_repeat {
             if !data_repeat {
@@ -606,7 +603,6 @@ impl Machine {
             return;
         }
         self.last_tag_block = tag_block;
-        self.pages.touch_tag(tag_addr);
         if data_repeat {
             self.hier.access(AccessClass::Tag, tag_addr);
         } else {
@@ -647,7 +643,6 @@ impl Machine {
         // data-repeat memo no longer proves anything.
         self.last_data_block = u64::MAX;
         let addr = layout::hw_shadow_addr(ea);
-        self.pages.touch_shadow(addr);
         self.hier.access(AccessClass::Shadow, addr);
         // "Any load or store of an uncompressed bounded pointer creates an
         // additional micro-operation to access the bounds metadata" (§5.1).
@@ -933,29 +928,28 @@ impl Machine {
     }
 
     /// HardBound load whose implicit check and region probe were statically
-    /// elided: replays the check's statistics (unless the caller batches
-    /// them — see [`Machine::elided_stats_static`]), optionally audits the
-    /// elision, then runs the ordinary post-check load body.
+    /// elided: replays the check's statistics (unless `BATCHED`: the
+    /// caller batches them — see [`Machine::elided_stats_static`]),
+    /// audits the elision under `AUDIT`, then runs the ordinary post-check
+    /// load body.
     #[inline]
-    fn exec_load_hb_elided(
+    fn exec_load_hb_elided<const AUDIT: bool, const BATCHED: bool>(
         &mut self,
         fpc: Pc,
         width: Width,
         rd: Reg,
         addr: Reg,
         offset: i32,
-        audit: bool,
-        stats: bool,
     ) {
         let ea = self.r(addr).wrapping_add(offset as u32);
         if self.flight.is_some() {
             self.note_flight(fpc, ea, width.bytes(), false);
         }
         let meta = self.m(addr);
-        if audit {
+        if AUDIT {
             self.audit_elided(fpc, ea, width.bytes(), meta, false);
         }
-        if stats {
+        if !BATCHED {
             self.elided_check_stats(meta);
         }
         self.load_body::<true>(ea, width, rd);
@@ -964,25 +958,23 @@ impl Machine {
     /// Check-elided HardBound store (dual of
     /// [`Machine::exec_load_hb_elided`]).
     #[inline]
-    fn exec_store_hb_elided(
+    fn exec_store_hb_elided<const AUDIT: bool, const BATCHED: bool>(
         &mut self,
         fpc: Pc,
         width: Width,
         src: Reg,
         addr: Reg,
         offset: i32,
-        audit: bool,
-        stats: bool,
     ) {
         let ea = self.r(addr).wrapping_add(offset as u32);
         if self.flight.is_some() {
             self.note_flight(fpc, ea, width.bytes(), true);
         }
         let meta = self.m(addr);
-        if audit {
+        if AUDIT {
             self.audit_elided(fpc, ea, width.bytes(), meta, true);
         }
-        if stats {
+        if !BATCHED {
             self.elided_check_stats(meta);
         }
         self.store_body::<true>(ea, width, src);
@@ -1474,43 +1466,39 @@ impl ExecState<'_> {
 
     /// HardBound load whose implicit check the optimizer statically elided
     /// (covered by a dominating check or a passed guard). Never traps;
-    /// replays the check's statistics exactly. With `audit` set the
+    /// replays the check's statistics exactly. With `AUDIT` set the
     /// original check is re-derived shadow-side and any would-have-trapped
     /// divergence panics (`HB_OPT_AUDIT`).
-    /// With `stats` false the per-access statistics replay is skipped; the
+    /// With `BATCHED` set the per-access statistics replay is skipped; the
     /// dispatcher owns the accounting and must
     /// [`ExecState::bump_elided_checks`] instead — sound only when
     /// [`Machine::elided_stats_static`] holds.
     #[inline]
-    pub fn load_hb_elided(
+    pub fn load_hb_elided<const AUDIT: bool, const BATCHED: bool>(
         &mut self,
         fpc: Pc,
         width: Width,
         rd: Reg,
         addr: Reg,
         offset: i32,
-        audit: bool,
-        stats: bool,
     ) {
         self.m
-            .exec_load_hb_elided(fpc, width, rd, addr, offset, audit, stats);
+            .exec_load_hb_elided::<AUDIT, BATCHED>(fpc, width, rd, addr, offset);
     }
 
     /// Check-elided HardBound store (dual of
     /// [`ExecState::load_hb_elided`]).
     #[inline]
-    pub fn store_hb_elided(
+    pub fn store_hb_elided<const AUDIT: bool, const BATCHED: bool>(
         &mut self,
         fpc: Pc,
         width: Width,
         src: Reg,
         addr: Reg,
         offset: i32,
-        audit: bool,
-        stats: bool,
     ) {
         self.m
-            .exec_store_hb_elided(fpc, width, src, addr, offset, audit, stats);
+            .exec_store_hb_elided::<AUDIT, BATCHED>(fpc, width, src, addr, offset);
     }
 
     /// Batched form of the elided-check statistics replay: credits `n`

@@ -14,13 +14,15 @@
 //! decode single-pass with no leader analysis, exactly like a hardware µop
 //! trace cache.
 //!
-//! Residency is managed by a **segmented LRU** shared across programs:
-//! freshly decoded blocks enter a probationary segment and are promoted to
-//! a protected segment on their first re-use, so one-shot decode streams
-//! (a long straight-line prologue, a cold error path, a sweep of one-run
-//! corpus programs) cannot wash a long-lived service's hot loops out of
-//! the cache. Capacity pressure evicts one probationary LRU block at a
-//! time — never the whole cache. Blocks are never invalidated: simulated
+//! Residency is managed by a **segmented LRU** ([`crate::slru`]) shared
+//! across programs: freshly decoded blocks enter a probationary segment
+//! and are promoted to a protected segment on their first re-use, so
+//! one-shot decode streams (a long straight-line prologue, a cold error
+//! path, a sweep of one-run corpus programs) cannot wash a long-lived
+//! service's hot loops out of the cache. A hit on a protected block only
+//! sets its reference bit, so the steady-state lookup relinks nothing.
+//! Capacity pressure evicts one probationary LRU block at a time — never
+//! the whole cache. Blocks are never invalidated: simulated
 //! stores cannot reach the code region (they wild-fault first), so a
 //! program image is immutable for as long as its [`ProgramId`] exists.
 
@@ -29,6 +31,7 @@ use std::collections::HashMap;
 use hardbound_core::{MachineConfig, StableHash, FINGERPRINT_VERSION};
 use hardbound_isa::{FuncId, Program};
 
+use crate::slru::SlruIndex;
 use crate::uop::{DecodedBlock, Uop};
 
 // Identities used to be mixed through `#[derive(Hash)]`, whose byte
@@ -198,44 +201,6 @@ impl BlockCacheStats {
     }
 }
 
-/// Which segmented-LRU list a resident block lives on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Segment {
-    /// Freshly decoded, not yet re-used.
-    Probation,
-    /// Re-used at least once; evicted only when probation is empty.
-    Protected,
-}
-
-/// Sentinel for "no slot" in the intrusive lists.
-const NONE: u32 = u32::MAX;
-
-/// One slab slot: a resident block threaded onto its segment's intrusive
-/// doubly-linked recency list (head = MRU, tail = LRU).
-#[derive(Debug)]
-struct Slot {
-    block: Block,
-    seg: Segment,
-    prev: u32,
-    next: u32,
-}
-
-/// Head/tail/length of one segment's recency list.
-#[derive(Clone, Copy, Debug)]
-struct List {
-    head: u32,
-    tail: u32,
-    len: usize,
-}
-
-impl List {
-    const EMPTY: List = List {
-        head: NONE,
-        tail: NONE,
-        len: 0,
-    };
-}
-
 /// One registered program: its dense entry-PC index (the identity lives
 /// in the cache's `by_id` map).
 #[derive(Debug)]
@@ -254,7 +219,7 @@ struct ProgramEntry {
 /// second run of the same image its warm blocks.
 // Aligned to two cache lines: a corpus service keeps one cache per worker
 // side by side in one `Vec`, and every lookup writes the hit counter and
-// the recency lists, so neighbouring caches must not share a line (nor an
+// a recency bit, so neighbouring caches must not share a line (nor an
 // adjacent-line prefetch pair) or the workers stall on each other.
 #[derive(Debug)]
 #[repr(align(128))]
@@ -262,18 +227,12 @@ pub struct SharedBlockCache {
     by_id: HashMap<ProgramId, u32>,
     /// Registered programs by dense handle.
     programs: Vec<ProgramEntry>,
-    /// Slab of slots; freed slots are recycled through `free`, so resident
-    /// slot ids are stable across unrelated evictions.
-    slots: Vec<Option<Slot>>,
+    /// Slab of blocks; freed slots are recycled through `free`, so
+    /// resident slot ids are stable across unrelated evictions.
+    slots: Vec<Option<Block>>,
     free: Vec<u32>,
-    resident: usize,
+    recency: SlruIndex,
     capacity: usize,
-    /// Maximum blocks in the protected segment (the classic SLRU ~¾
-    /// split); promotion past this demotes the protected LRU back to
-    /// probation instead of evicting it.
-    protected_cap: usize,
-    probation: List,
-    protected: List,
     stats: BlockCacheStats,
 }
 
@@ -297,11 +256,8 @@ impl SharedBlockCache {
             programs: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            resident: 0,
+            recency: SlruIndex::new(capacity),
             capacity,
-            protected_cap: capacity * 3 / 4,
-            probation: List::EMPTY,
-            protected: List::EMPTY,
             stats: BlockCacheStats::default(),
         }
     }
@@ -354,87 +310,22 @@ impl SharedBlockCache {
         self.by_id.len()
     }
 
-    fn list_mut(&mut self, seg: Segment) -> &mut List {
-        match seg {
-            Segment::Probation => &mut self.probation,
-            Segment::Protected => &mut self.protected,
-        }
-    }
-
-    fn slot(&self, id: u32) -> &Slot {
-        self.slots[id as usize].as_ref().expect("resident slot")
-    }
-
-    fn slot_mut(&mut self, id: u32) -> &mut Slot {
-        self.slots[id as usize].as_mut().expect("resident slot")
-    }
-
-    /// Unthreads `id` from its segment list.
-    fn unlink(&mut self, id: u32) {
-        let (seg, prev, next) = {
-            let s = self.slot(id);
-            (s.seg, s.prev, s.next)
-        };
-        if prev == NONE {
-            self.list_mut(seg).head = next;
-        } else {
-            self.slot_mut(prev).next = next;
-        }
-        if next == NONE {
-            self.list_mut(seg).tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
-        }
-        self.list_mut(seg).len -= 1;
-    }
-
-    /// Threads `id` onto the MRU end of `seg`.
-    fn push_front(&mut self, seg: Segment, id: u32) {
-        let head = self.list_mut(seg).head;
-        {
-            let s = self.slot_mut(id);
-            s.seg = seg;
-            s.prev = NONE;
-            s.next = head;
-        }
-        if head != NONE {
-            self.slot_mut(head).prev = id;
-        }
-        let list = self.list_mut(seg);
-        list.head = id;
-        if list.tail == NONE {
-            list.tail = id;
-        }
-        list.len += 1;
-    }
-
-    /// Removes the block in slot `id` entirely (index entry, list, slab).
-    fn remove(&mut self, id: u32) {
-        self.unlink(id);
-        let slot = self.slots[id as usize].take().expect("resident slot");
-        let b = &slot.block;
+    /// Evicts one block to make room: the segmented-LRU victim (the
+    /// probationary LRU if any, else the protected LRU), removed from its
+    /// index entry, the recency index and the slab.
+    fn evict_one(&mut self) {
+        let id = self.recency.victim().expect("evicting from an empty cache");
+        self.recency.remove(id);
+        let b = self.slots[id as usize].take().expect("resident slot");
         self.programs[b.prog as usize].index[b.func.0 as usize][b.entry as usize] = 0;
         self.free.push(id);
-        self.resident -= 1;
-    }
-
-    /// Evicts one block to make room: the probationary LRU if any, else
-    /// the protected LRU.
-    fn evict_one(&mut self) {
-        let victim = if self.probation.tail != NONE {
-            self.probation.tail
-        } else {
-            self.protected.tail
-        };
-        debug_assert_ne!(victim, NONE, "evicting from an empty cache");
-        self.remove(victim);
         self.stats.evicted += 1;
     }
 
     /// Id of the resident block of program handle `prog` decoded at
     /// `(func, pc)`, if any. Counts a hit and touches the block's recency:
     /// probationary blocks are promoted to the protected segment,
-    /// protected blocks move to its MRU position. Ids are only stable
+    /// protected blocks have their reference bit set. Ids are only stable
     /// until the next insert — resolve them with
     /// [`SharedBlockCache::block`] immediately.
     #[inline]
@@ -445,56 +336,38 @@ impl SharedBlockCache {
         }
         let id = id - 1;
         self.stats.hits += 1;
-        self.touch(id);
+        self.recency.touch(id);
         Some(id as usize)
-    }
-
-    fn touch(&mut self, id: u32) {
-        self.unlink(id);
-        self.push_front(Segment::Protected, id);
-        // Keep the protected segment within its share by demoting its LRU
-        // back to probation (it stays resident and ahead of cold blocks).
-        while self.protected.len > self.protected_cap.max(1) {
-            let lru = self.protected.tail;
-            self.unlink(lru);
-            self.push_front(Segment::Probation, lru);
-        }
     }
 
     /// Inserts a freshly decoded block for program handle `prog` and
     /// returns its id. Counts a decode; evicts segmented-LRU victims one
     /// at a time when at capacity.
     pub fn insert(&mut self, prog: u32, func: FuncId, entry: u32, decoded: DecodedBlock) -> usize {
-        while self.resident >= self.capacity {
+        while self.resident() >= self.capacity {
             self.evict_one();
         }
         self.stats.decoded += 1;
-        let slot = Slot {
-            block: Block {
-                prog,
-                func,
-                entry,
-                uops: decoded.uops,
-                fallback: decoded.fallback,
-                elided_counts: decoded.elided_counts,
-            },
-            seg: Segment::Probation,
-            prev: NONE,
-            next: NONE,
-        };
+        let slot = Some(Block {
+            prog,
+            func,
+            entry,
+            uops: decoded.uops,
+            fallback: decoded.fallback,
+            elided_counts: decoded.elided_counts,
+        });
         let id = match self.free.pop() {
             Some(id) => {
-                self.slots[id as usize] = Some(slot);
+                self.slots[id as usize] = slot;
                 id
             }
             None => {
-                self.slots.push(Some(slot));
+                self.slots.push(slot);
                 (self.slots.len() - 1) as u32
             }
         };
-        self.push_front(Segment::Probation, id);
+        self.recency.insert(id);
         self.programs[prog as usize].index[func.0 as usize][entry as usize] = id + 1;
-        self.resident += 1;
         id as usize
     }
 
@@ -507,13 +380,13 @@ impl SharedBlockCache {
     #[inline]
     #[must_use]
     pub fn block(&self, id: usize) -> &Block {
-        &self.slot(id as u32).block
+        self.slots[id].as_ref().expect("resident slot")
     }
 
     /// Number of resident decoded blocks (across all programs).
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.resident
+        self.slots.len() - self.free.len()
     }
 
     /// Accumulated cache counters.

@@ -507,7 +507,6 @@ impl<'c> Engine<'c> {
                 st.retire_uops(n as u64 - 1);
                 *fast_uops += n as u64 - 1;
                 st.set_pc(func, idx);
-                drop(st);
                 *stepped_insts += 1;
                 if let Err(t) = machine.step() {
                     machine.exec_state().set_trap(t);
@@ -605,7 +604,6 @@ impl<'c> Engine<'c> {
                 st.set_trap(Trap::OutOfFuel);
                 return;
             }
-            drop(st);
             self.stepped_insts += 1;
             if let Err(t) = self.machine.step() {
                 self.machine.exec_state().set_trap(t);
@@ -782,7 +780,6 @@ fn exec_guarded<const AUDIT: bool, const BATCH: bool>(
             st.retire_uops(retired);
             *fast_uops += retired;
             st.set_pc(func, idx);
-            drop(st);
             *stepped_insts += 1;
             if let Err(t) = machine.step() {
                 machine.exec_state().set_trap(t);
@@ -943,14 +940,14 @@ fn exec_straight<const AUDIT: bool, const BATCH: bool>(
             addr,
             offset,
             pc,
-        } => st.load_hb_elided(pc, width, rd, addr, offset, AUDIT, !BATCH),
+        } => st.load_hb_elided::<AUDIT, BATCH>(pc, width, rd, addr, offset),
         Uop::StoreHbElided {
             width,
             src,
             addr,
             offset,
             pc,
-        } => st.store_hb_elided(pc, width, src, addr, offset, AUDIT, !BATCH),
+        } => st.store_hb_elided::<AUDIT, BATCH>(pc, width, src, addr, offset),
         Uop::SetBoundRR { rd, rs, size, pc } => {
             st.count_setbound();
             let value = st.reg(rs);

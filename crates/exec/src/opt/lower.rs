@@ -89,7 +89,7 @@ pub(super) fn lower(
     let mut counts = Vec::with_capacity(guards.len() + 1);
     let mut seg_count = 0u32;
     let mut gi = 0;
-    for i in 0..n {
+    for (i, (&sub, &orig)) in subst.iter().zip(block.uops.iter()).enumerate() {
         while gi < guards.len() && guards[gi].at == i {
             let g = &guards[gi];
             // Guard j lands at lowered index `at + j`; `next` points at
@@ -108,8 +108,8 @@ pub(super) fn lower(
             seg_count = 0;
             gi += 1;
         }
-        seg_count += u32::from(subst[i].is_some());
-        uops.push(subst[i].unwrap_or(block.uops[i]));
+        seg_count += u32::from(sub.is_some());
+        uops.push(sub.unwrap_or(orig));
     }
     counts.push(seg_count);
     debug_assert_eq!(gi, guards.len(), "guard planned past the terminator");

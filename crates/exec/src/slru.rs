@@ -1,13 +1,21 @@
 //! A reusable **segmented-LRU recency index** over slab slot ids.
 //!
-//! This is the probation/protected replacement scheme the decoded-block
-//! cache pioneered ([`crate::SharedBlockCache`]), factored out so the
-//! result store can run the same policy: fresh entries enter a
-//! *probationary* segment and are promoted to a *protected* segment on
-//! their first re-use, so a one-shot stream (an open-ended corpus sweep, a
-//! cold figure grid) cannot wash a long-lived store's re-used entries out.
-//! Eviction takes the probationary LRU first and touches the protected
-//! segment only when probation is empty.
+//! The probation/protected replacement scheme shared by the decoded-block
+//! cache ([`crate::SharedBlockCache`]) and the result store
+//! ([`crate::ResultStore`]): fresh entries enter a *probationary* segment
+//! and are promoted to a *protected* segment on their first re-use, so a
+//! one-shot stream (an open-ended corpus sweep, a cold figure grid, a
+//! straight-line prologue) cannot wash re-used entries out. Eviction takes
+//! the probationary LRU first and touches the protected segment only when
+//! probation is empty.
+//!
+//! Re-use of an entry that is already protected only sets its
+//! **reference bit** — no list relink — which keeps a decoded-block hit,
+//! the engine's hottest cache operation, to a load and a store. The bits
+//! are consulted when the protected segment overflows its share: a
+//! referenced LRU gets a second chance (moved to the MRU end, bit
+//! cleared, as a CLOCK hand would), and the first unreferenced LRU is
+//! demoted back to probation.
 //!
 //! The index tracks recency *only*: callers own the slab of values and a
 //! key map, and pair every slab insert/remove/lookup with the matching
@@ -45,6 +53,9 @@ impl List {
 #[derive(Clone, Copy, Debug)]
 struct Node {
     seg: Segment,
+    /// Re-used since it was last promoted or given a second chance
+    /// (meaningful on the protected segment only).
+    referenced: bool,
     prev: u32,
     next: u32,
 }
@@ -57,8 +68,8 @@ pub(crate) struct SlruIndex {
     probation: List,
     protected: List,
     /// Maximum protected residents (the classic SLRU ~¾ split); promotion
-    /// past this demotes the protected LRU back to probation instead of
-    /// evicting it.
+    /// past this demotes an unreferenced protected entry back to
+    /// probation instead of evicting it.
     protected_cap: usize,
 }
 
@@ -91,7 +102,9 @@ impl SlruIndex {
 
     /// Unthreads `id` from its segment list (the node stays allocated).
     fn unlink(&mut self, id: u32) {
-        let Node { seg, prev, next } = self.node(id);
+        let Node {
+            seg, prev, next, ..
+        } = self.node(id);
         if prev == NONE {
             self.list_mut(seg).head = next;
         } else {
@@ -113,17 +126,20 @@ impl SlruIndex {
         debug_assert!(self.nodes[id as usize].is_none(), "slot tracked twice");
         self.nodes[id as usize] = Some(Node {
             seg: Segment::Probation,
+            referenced: false,
             prev: NONE,
             next: NONE,
         });
         self.push_front(Segment::Probation, id);
     }
 
-    /// Threads `id` (not currently on any list) onto the MRU end of `seg`.
+    /// Threads `id` (not currently on any list) onto the MRU end of `seg`
+    /// with its reference bit clear.
     fn push_front(&mut self, seg: Segment, id: u32) {
         let head = self.list_mut(seg).head;
         *self.node_mut(id) = Node {
             seg,
+            referenced: false,
             prev: NONE,
             next: head,
         };
@@ -138,16 +154,47 @@ impl SlruIndex {
         list.len += 1;
     }
 
-    /// Records a re-use of `id`: promotes it to the protected MRU,
-    /// demoting the protected LRU back to probation when the segment
-    /// overflows its share (it stays resident, ahead of cold entries).
+    /// Records a re-use of `id`. A protected entry only has its reference
+    /// bit set; a probationary one is promoted to the protected MRU, and
+    /// if that overflows the segment's share, [`SlruIndex::rebalance`]
+    /// demotes one unreferenced protected entry.
+    #[inline]
     pub(crate) fn touch(&mut self, id: u32) {
+        let node = self.node_mut(id);
+        if node.seg == Segment::Protected {
+            node.referenced = true;
+        } else {
+            self.promote(id);
+        }
+    }
+
+    /// The cold half of [`SlruIndex::touch`]: moves probationary `id` to
+    /// the protected MRU and rebalances.
+    #[inline(never)]
+    fn promote(&mut self, id: u32) {
         self.unlink(id);
         self.push_front(Segment::Protected, id);
-        while self.protected.len > self.protected_cap {
+        if self.protected.len > self.protected_cap {
+            self.rebalance();
+        }
+    }
+
+    /// Demotes exactly one protected entry to the probationary MRU (it
+    /// stays resident, ahead of cold entries). Referenced LRUs get a
+    /// second chance first: each is moved to the protected MRU with its
+    /// bit cleared. Every step clears a bit, so this ends within one
+    /// sweep of the segment even when every entry is referenced.
+    fn rebalance(&mut self) {
+        loop {
             let lru = self.protected.tail;
+            let second_chance = self.node(lru).referenced;
             self.unlink(lru);
-            self.push_front(Segment::Probation, lru);
+            if second_chance {
+                self.push_front(Segment::Protected, lru);
+            } else {
+                self.push_front(Segment::Probation, lru);
+                return;
+            }
         }
     }
 
@@ -214,5 +261,43 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, 5);
+    }
+
+    #[test]
+    fn referenced_protected_lru_survives_one_overflow() {
+        let mut ix = SlruIndex::new(4); // protected cap = 3
+        for id in 0..3 {
+            ix.insert(id);
+            ix.touch(id); // protected, MRU → LRU: 2, 1, 0
+        }
+        ix.touch(0); // the protected LRU is re-used: reference bit only
+        ix.insert(3);
+        ix.touch(3); // overflow: 0 gets its second chance, 1 is demoted
+        assert_eq!(ix.node(0).seg, Segment::Protected);
+        assert!(!ix.node(0).referenced, "the second chance clears the bit");
+        assert_eq!(ix.node(1).seg, Segment::Probation);
+        assert_eq!(ix.victim(), Some(1));
+        assert_eq!((ix.probation.len, ix.protected.len), (1, 3));
+    }
+
+    #[test]
+    fn all_referenced_protected_segment_demotes_exactly_one() {
+        let mut ix = SlruIndex::new(4); // protected cap = 3
+        for id in 0..3 {
+            ix.insert(id);
+            ix.touch(id); // promote
+            ix.touch(id); // reference
+        }
+        ix.insert(3);
+        ix.touch(3);
+        assert_eq!((ix.probation.len, ix.protected.len), (1, 3));
+        let demoted: Vec<u32> = (0..4)
+            .filter(|&id| ix.node(id).seg == Segment::Probation)
+            .collect();
+        assert_eq!(demoted.len(), 1, "exactly one demotion: {demoted:?}");
+        assert!(
+            (0..4).all(|id| !ix.node(id).referenced),
+            "the sweep cleared every bit it passed"
+        );
     }
 }

@@ -14,15 +14,13 @@
 //!
 //! The planes are plain storage; *policy* (when tags are written, when the
 //! shadow is consulted, what the tag values mean) lives in
-//! `hardbound-core`. [`PageTouches`] tracks the distinct 4 KB virtual pages
-//! touched in each plane, which is exactly the measurement behind the
-//! paper's Figure 6.
+//! `hardbound-core`. The distinct-page counts behind the paper's Figure 6
+//! are not kept here: `hardbound-cache`'s `Hierarchy` takes them at TLB
+//! fills, where a page's first touch always lands.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod memory;
-mod pages;
 
 pub use memory::{Memory, WordMeta};
-pub use pages::PageTouches;

@@ -313,7 +313,7 @@ impl Registry {
                     MetricHandle::Counter(c) => Value::Counter(c.get()),
                     MetricHandle::Gauge(g) => Value::Gauge(g.get()),
                     MetricHandle::GaugeFn(f) => Value::Gauge(f()),
-                    MetricHandle::Histogram(h) => Value::Histogram(h.snapshot()),
+                    MetricHandle::Histogram(h) => Value::Histogram(Box::new(h.snapshot())),
                 };
                 (name, v)
             })
@@ -341,8 +341,8 @@ pub enum Value {
     Counter(u64),
     /// A gauge reading (plain or computed).
     Gauge(u64),
-    /// A histogram reading.
-    Histogram(HistogramSnapshot),
+    /// A histogram reading (boxed: 65 buckets dwarf the other variants).
+    Histogram(Box<HistogramSnapshot>),
 }
 
 /// A point-in-time capture of a [`Registry`].
@@ -372,7 +372,7 @@ impl Snapshot {
     /// The histogram named `name`, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         match self.values.get(name) {
-            Some(Value::Histogram(h)) => Some(h),
+            Some(Value::Histogram(h)) => Some(h.as_ref()),
             _ => None,
         }
     }
@@ -390,7 +390,7 @@ impl Snapshot {
                         Value::Counter(now.saturating_sub(*then))
                     }
                     (Value::Histogram(now), Some(Value::Histogram(then))) => {
-                        Value::Histogram(now.delta(then))
+                        Value::Histogram(Box::new(now.delta(then)))
                     }
                     (v, _) => v.clone(),
                 };
