@@ -32,7 +32,7 @@ use hardbound_core::{MachineConfig, StableHash, FINGERPRINT_VERSION};
 use hardbound_isa::{FuncId, Program};
 
 use crate::slru::SlruIndex;
-use crate::uop::{DecodedBlock, Uop};
+use crate::uop::Uop;
 
 // Identities used to be mixed through `#[derive(Hash)]`, whose byte
 // encoding Rust does not promise across toolchains; now that fingerprints
@@ -127,25 +127,6 @@ impl ProgramId {
         cfg.meta_path.stable_hash(&mut h);
         ProgramId(h.value())
     }
-
-    /// Fingerprints `program` under `cfg` *and* the optimizer setting. The
-    /// bounds-check elimination passes rewrite decoded bytes, so optimized
-    /// and unoptimized decodes of one image must not alias in a shared
-    /// cache. With the optimizer off this is exactly [`ProgramId::of`] —
-    /// every identity computed before the optimizer existed (including
-    /// persisted result-store keys) is unchanged.
-    #[must_use]
-    pub fn of_opt(program: &Program, cfg: &MachineConfig, opt: crate::opt::OptConfig) -> ProgramId {
-        let base = ProgramId::of(program, cfg);
-        if !opt.enabled {
-            return base;
-        }
-        let mut h = Fnv64::default();
-        h.mix_u64(base.0);
-        // An arbitrary fixed tag naming "optimizer pipeline v1".
-        h.mix_u64(0x4842_4f50_5431_0001);
-        ProgramId(h.value())
-    }
 }
 
 /// A decoded basic block.
@@ -158,15 +139,8 @@ pub struct Block {
     pub func: FuncId,
     /// Entry instruction index within the function.
     pub entry: u32,
-    /// Pre-decoded µops; one per instruction, terminator last. See
-    /// [`DecodedBlock::uops`] for the guarded two-stream layout.
+    /// Pre-decoded µops; one per instruction, terminator last.
     pub uops: Box<[Uop]>,
-    /// `0` for an ordinary block; otherwise the index where the appended
-    /// original copy begins (see [`DecodedBlock::fallback`]).
-    pub fallback: u32,
-    /// Elided-access count per guard-free segment (see
-    /// [`DecodedBlock::elided_counts`]).
-    pub elided_counts: Box<[u32]>,
 }
 
 /// Counters describing the cache's behaviour over its lifetime.
@@ -343,7 +317,7 @@ impl SharedBlockCache {
     /// Inserts a freshly decoded block for program handle `prog` and
     /// returns its id. Counts a decode; evicts segmented-LRU victims one
     /// at a time when at capacity.
-    pub fn insert(&mut self, prog: u32, func: FuncId, entry: u32, decoded: DecodedBlock) -> usize {
+    pub fn insert(&mut self, prog: u32, func: FuncId, entry: u32, uops: Box<[Uop]>) -> usize {
         while self.resident() >= self.capacity {
             self.evict_one();
         }
@@ -352,9 +326,7 @@ impl SharedBlockCache {
             prog,
             func,
             entry,
-            uops: decoded.uops,
-            fallback: decoded.fallback,
-            elided_counts: decoded.elided_counts,
+            uops,
         });
         let id = match self.free.pop() {
             Some(id) => {
@@ -415,12 +387,8 @@ mod tests {
         ProgramId(n)
     }
 
-    fn decoded() -> DecodedBlock {
-        DecodedBlock {
-            uops: vec![Uop::Nop, Uop::Ret].into_boxed_slice(),
-            fallback: 0,
-            elided_counts: Box::default(),
-        }
+    fn decoded() -> Box<[Uop]> {
+        vec![Uop::Nop, Uop::Ret].into_boxed_slice()
     }
 
     #[test]

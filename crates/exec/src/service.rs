@@ -376,17 +376,12 @@ impl CorpusService {
         }
     }
 
-    /// Enables or disables the result store (`HB_RESULT_CACHE`). Disabled,
-    /// every job executes — the shared decode cache still applies — and
+    /// Enables or disables the result store (on by default; the store-less
+    /// service is the reference path that tests pin the store against).
+    /// Disabled, every job executes — the shared decode cache still applies — and
     /// the store is neither consulted nor grown.
     pub fn set_result_cache(&mut self, on: bool) {
         self.result_cache = on;
-    }
-
-    /// Whether the result store is consulted.
-    #[must_use]
-    pub fn result_cache(&self) -> bool {
-        self.result_cache
     }
 
     /// Sets the result store's idle TTL (`HB_STORE_TTL`); expired entries

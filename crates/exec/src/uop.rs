@@ -181,60 +181,6 @@ pub enum Uop {
         /// Own position (trap pc).
         pc: Pc,
     },
-    /// A HardBound load whose bounds check and region probe the optimizer
-    /// proved redundant (covered by a dominating check or a passed
-    /// [`Uop::Guard`] on the same pointer value). Executes the load and
-    /// replays every statistic the full check would have charged, but skips
-    /// the compare itself.
-    LoadHbElided {
-        /// Access width.
-        width: Width,
-        /// Destination.
-        rd: Reg,
-        /// Address register.
-        addr: Reg,
-        /// Constant byte offset.
-        offset: i32,
-        /// Own position (trap pc; kept so `HB_OPT_AUDIT` can name the site).
-        pc: Pc,
-    },
-    /// A HardBound store with an optimizer-elided check (dual of
-    /// [`Uop::LoadHbElided`]).
-    StoreHbElided {
-        /// Access width.
-        width: Width,
-        /// Value register.
-        src: Reg,
-        /// Address register.
-        addr: Reg,
-        /// Constant byte offset.
-        offset: i32,
-        /// Own position (trap pc).
-        pc: Pc,
-    },
-    /// A widened range check inserted by the coalescing/hoisting passes:
-    /// passes iff `addr`'s sidecar metadata is a pointer whose bounds (and
-    /// the machine's address regions) admit the whole window
-    /// `[r(addr)+lo_off, r(addr)+lo_off+span)`. Retires **no** µop, charges
-    /// **no** statistics, and never traps: on failure the block diverts to
-    /// index `resume` in the appended original-copy region, where unmodified
-    /// µops re-run every check and trap exactly where the unoptimized block
-    /// would have.
-    Guard {
-        /// Address register the guarded group indexes off.
-        addr: Reg,
-        /// Lowest byte offset covered, relative to `r(addr)`.
-        lo_off: i32,
-        /// Window size in bytes (covers `[lo_off, lo_off + span)`).
-        span: u32,
-        /// Fallback µop index (into the original-copy region) on failure.
-        resume: u32,
-        /// Index of the next [`Uop::Guard`] in the optimized stream, or of
-        /// the stream's terminator if this is the last one. Dispatch runs
-        /// `[here + 1, next)` as a plain straight-line segment, so guards
-        /// cost nothing per covered µop.
-        next: u32,
-    },
     /// `setbound` with the size in a register.
     SetBoundRR {
         /// Destination.
@@ -369,6 +315,10 @@ pub enum Uop {
         idx: u32,
     },
 }
+
+// The dispatch loop walks blocks as flat `Uop` arrays, so the µop's size
+// is the decoded footprint of every block: no variant may outgrow 16 bytes.
+const _: () = assert!(std::mem::size_of::<Uop>() <= 16);
 
 impl Uop {
     /// Whether this µop ends a basic block.
@@ -526,29 +476,6 @@ pub fn decode_inst(inst: Inst, cfg: &MachineConfig, func: FuncId, idx: u32) -> U
     }
 }
 
-/// A decoded superblock: the µop array plus its optimizer metadata.
-#[derive(Clone, Debug)]
-pub struct DecodedBlock {
-    /// Pre-decoded µops; one per instruction, terminator last. When
-    /// `fallback != 0` the array holds **two** terminated streams: the
-    /// optimized stream in `uops[..fallback]` and a verbatim copy of the
-    /// original block in `uops[fallback..]`, which failed [`Uop::Guard`]s
-    /// divert into.
-    pub uops: Box<[Uop]>,
-    /// `0` for an ordinary block; otherwise the index where the appended
-    /// original copy begins (guarded blocks only — index 0 is always inside
-    /// the optimized stream, so 0 is unambiguous as "no fallback").
-    pub fallback: u32,
-    /// Elided-access count per guard-free segment of the optimized stream
-    /// (one entry when `fallback == 0`, `guards + 1` entries otherwise;
-    /// empty for unoptimized blocks). When the machine's elided statistics
-    /// are static ([`Machine::elided_stats_static`]), dispatch credits a
-    /// whole completed segment in one bump instead of replaying per access.
-    ///
-    /// [`Machine::elided_stats_static`]: hardbound_core::Machine::elided_stats_static
-    pub elided_counts: Box<[u32]>,
-}
-
 /// Maximum instruction count of a leaf callee that [`decode_block`]
 /// inlines into the calling superblock.
 pub const INLINE_CAP: usize = 16;
@@ -588,7 +515,7 @@ pub fn decode_block(
     func: FuncId,
     entry: u32,
     cfg: &MachineConfig,
-) -> DecodedBlock {
+) -> Box<[Uop]> {
     let insts = &program.func(func).insts;
     let mut uops = Vec::new();
     let mut emitted: Vec<u32> = Vec::new();
@@ -643,11 +570,7 @@ pub fn decode_block(
         uops.last().is_some_and(|u| u.is_terminator()),
         "blocks always end in a terminator"
     );
-    DecodedBlock {
-        uops: uops.into_boxed_slice(),
-        fallback: 0,
-        elided_counts: Box::default(),
-    }
+    uops.into_boxed_slice()
 }
 
 #[cfg(test)]
@@ -777,7 +700,7 @@ mod tests {
                 call: SysCall::Halt,
             },
         ]);
-        let block = decode_block(&p, F0, 0, &hb_cfg()).uops;
+        let block = decode_block(&p, F0, 0, &hb_cfg());
         assert_eq!(block.len(), 3);
         assert!(matches!(
             block[2],
@@ -787,7 +710,7 @@ mod tests {
                 ..
             }
         ));
-        let tail = decode_block(&p, F0, 3, &hb_cfg()).uops;
+        let tail = decode_block(&p, F0, 3, &hb_cfg());
         assert_eq!(&*tail, &[Uop::Step { idx: 3 }]);
     }
 
@@ -804,7 +727,7 @@ mod tests {
             },
             Inst::Jump { target: 2 },
         ]);
-        let block = decode_block(&p, F0, 0, &hb_cfg()).uops;
+        let block = decode_block(&p, F0, 0, &hb_cfg());
         // jmp (followed) + li + backedge jump terminator
         assert_eq!(
             &*block,
@@ -825,7 +748,7 @@ mod tests {
         let n = insts.len();
         insts[n - 1] = Inst::Ret;
         let p = program_of(insts);
-        let block = decode_block(&p, F0, 0, &hb_cfg()).uops;
+        let block = decode_block(&p, F0, 0, &hb_cfg());
         assert_eq!(block.len(), FOLLOW_CAP);
         assert!(matches!(
             block[FOLLOW_CAP - 1],
@@ -861,7 +784,7 @@ mod tests {
         let p = Program::with_entry(vec![main, leaf]);
         let block = decode_block(&p, F0, 0, &hb_cfg());
         assert_eq!(
-            &*block.uops,
+            &*block,
             &[
                 Uop::InlineCall {
                     func: FuncId(1),
@@ -907,7 +830,7 @@ mod tests {
         let p = Program::with_entry(vec![main, callee]);
         let block = decode_block(&p, F0, 0, &hb_cfg());
         assert_eq!(
-            &*block.uops,
+            &*block,
             &[Uop::Call {
                 func: FuncId(1),
                 ret: 1

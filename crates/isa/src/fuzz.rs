@@ -211,14 +211,15 @@ pub fn insts(seed: u64, n: usize) -> Vec<Inst> {
 /// adjacent-field accesses off a loop-invariant struct pointer, redundant
 /// re-loads, and a strided array walk through a rewritten cursor.
 ///
-/// Where [`insts`] produces unstructured instruction soup (good at
-/// straight-line redundancy, terrible at loops), this family is shaped so
-/// the bounds-check optimizer's hoisting and coalescing passes actually
-/// fire — while the randomized object sizes, field counts, strides, and
-/// trip counts make some walks run off their array's bound mid-loop, which
-/// pins trap-site identity under optimization. The result is a complete,
-/// structurally valid function body (branch targets in range, `Halt`
-/// last); everything is a pure function of `seed`.
+/// Where [`insts`] produces unstructured instruction soup (rarely a live
+/// pointer, almost never a loop), this family gives the differential
+/// suites back-edges: the same block re-dispatched from the block cache
+/// with checked accesses on every iteration. The randomized object sizes,
+/// field counts, strides, and trip counts make some walks run off their
+/// array's bound mid-loop, which pins trap-site identity on a hot cached
+/// block. The result is a complete, structurally valid function body
+/// (branch targets in range, `Halt` last); everything is a pure function
+/// of `seed`.
 #[must_use]
 pub fn loop_insts(seed: u64) -> Vec<Inst> {
     let mut rng = FuzzRng::new(seed ^ 0x4c4f_4f50); // "LOOP"

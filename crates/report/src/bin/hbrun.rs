@@ -5,7 +5,8 @@
 //! cargo run -p hardbound-report --bin hbrun -- program.cb \
 //!     [--mode baseline|malloc-only|hardbound|softbound|objtable] \
 //!     [--encoding extern-4|intern-4|intern-11] [--stats] [--metrics] \
-//!     [--disasm] [--engine|--interp] [--opt|--no-opt] [--profile]
+//!     [--disasm] [--engine|--interp] [--profile] \
+//!     [--meta summary|walk|charge]
 //! ```
 //!
 //! Inputs ending in `.s` are treated as assembly listings in the
@@ -23,8 +24,7 @@
 //! `--disasm` prints the (merged) listing and nothing else instead of
 //! running. Execution goes through the corpus service by default — the
 //! pre-decoded basic-block engine plus the process-wide decode cache and
-//! result store (`HB_SERVICE=0` and `HB_RESULT_CACHE=0` opt out layer by
-//! layer); `--interp` selects the one-µop-per-step interpreter (all paths
+//! result store (`HB_SERVICE=0` opts out); `--interp` selects the one-µop-per-step interpreter (all paths
 //! are observationally identical — see `tests/engine_differential.rs` and
 //! `tests/service_differential.rs`). With `--stats`, service runs also
 //! report result-store and block-cache counters; `--metrics` dumps the
@@ -44,7 +44,7 @@ use std::process::ExitCode;
 
 use hardbound_compiler::Mode;
 use hardbound_core::{checked_ratio, MetaPath, PointerEncoding};
-use hardbound_exec::{Engine, OptConfig};
+use hardbound_exec::Engine;
 use hardbound_isa::Program;
 use hardbound_runtime::{
     build_machine_with_config, compile, compile_cache_stats, engine_default, env_flag,
@@ -111,28 +111,19 @@ fn parse_args() -> Result<Args, String> {
             "--stats" => stats = true,
             "--metrics" => metrics = true,
             "--disasm" => disasm = true,
-            // Same env plumbing as --opt: engines read HB_PROF once at
-            // construction, and nothing constructs one before argument
-            // parsing finishes.
+            // Engines read HB_PROF once at construction, and nothing
+            // constructs one before argument parsing finishes.
             "--profile" => {
                 profile = true;
                 std::env::set_var("HB_PROF", "1");
             }
             "--engine" => engine = true,
             "--interp" => engine = false,
-            // The optimizer rides the same env plumbing every other layer
-            // reads (`OptConfig::from_env` at engine construction), so the
-            // flags just pin the variables before anything resolves them.
-            "--opt" => std::env::set_var("HB_OPT", "1"),
-            "--no-opt" => {
-                std::env::set_var("HB_OPT", "0");
-                std::env::set_var("HB_OPT_AUDIT", "0");
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: hbrun FILE.{cb,s} [FILE.{cb,s} ...] [--mode M] [--encoding E] \
-                     [--stats] [--metrics] [--disasm] [--engine|--interp] [--opt|--no-opt] \
-                     [--profile] [--meta summary|walk|charge]"
+                     [--stats] [--metrics] [--disasm] [--engine|--interp] [--profile] \
+                     [--meta summary|walk|charge]"
                         .to_owned(),
                 )
             }
@@ -331,19 +322,6 @@ fn main() -> ExitCode {
         }
         let cc = compile_cache_stats();
         eprintln!("compile cache:   {} hits, {} misses", cc.hits, cc.misses);
-        let opt = OptConfig::from_env();
-        if opt.enabled {
-            // Decode-time optimizer activity, read back from the process
-            // registry (the engine records there as it optimizes blocks).
-            eprintln!(
-                "opt checks:      {} emitted, {} elided, {} hoisted, {} coalesced{}",
-                registry.counter("hb_checks_emitted"),
-                registry.counter("hb_checks_elided"),
-                registry.counter("hb_checks_hoisted"),
-                registry.counter("hb_checks_coalesced"),
-                if opt.audit { " [audited]" } else { "" }
-            );
-        }
         if through_service {
             let remote = remote_stats();
             if remote.round_trips > 0 {

@@ -109,17 +109,13 @@ pub fn link(user_source: &str) -> String {
 /// `(source hash, mode)` in a process-wide cache — figure passes compile
 /// each distinct `(workload, mode)` once per process, and a warm pass
 /// (every figure after the first, warm service replays) is compile-free.
-/// `HB_COMPILE_CACHE=0` opts out; see [`compile_uncached`] for the
-/// underlying compilation.
+/// See [`compile_uncached`] for the underlying compilation.
 ///
 /// # Errors
 ///
 /// Propagates [`CompileError`]s from the front end or code generator
 /// (errors are never cached — a fixed source recompiles).
 pub fn compile(user_source: &str, mode: Mode) -> Result<Program, CompileError> {
-    if !env_flag("HB_COMPILE_CACHE").unwrap_or(true) {
-        return compile_uncached(user_source, mode);
-    }
     let mut h = Fnv64::default();
     h.mix_bytes(user_source.as_bytes());
     let key = (h.value(), mode);
@@ -441,14 +437,6 @@ pub fn service_enabled() -> bool {
     engine_default() && env_flag("HB_SERVICE").unwrap_or(true)
 }
 
-/// Whether the service's result store is consulted and grown
-/// (`HB_RESULT_CACHE`, on by default). With the store off the service
-/// still shares decode work across jobs; it just re-executes every cell.
-#[must_use]
-pub fn result_cache_enabled() -> bool {
-    env_flag("HB_RESULT_CACHE").unwrap_or(true)
-}
-
 /// The persistent-store path (`HB_STORE_PATH`): when set, the process-wide
 /// service's result store loads from — and appends to — this file, so warm
 /// starts survive process boundaries (and CI runs). Corrupt or
@@ -687,7 +675,6 @@ pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
         })
         .collect();
     let mut svc = service().lock().unwrap_or_else(PoisonError::into_inner);
-    svc.set_result_cache(result_cache_enabled());
     let outs = svc.run_batch(&jobs, |program, config, &mode| {
         build_machine_with_config(program, mode, config)
     });

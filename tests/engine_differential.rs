@@ -4,9 +4,10 @@
 //! the same program counters, and the same `ExecStats` down to every
 //! counter (µops, bounds checks, stall cycles, distinct pages) — across
 //! **all 15 mode × encoding configurations**, over benign programs, the
-//! violation corpus, compiled workloads, and sanitized fuzz programs.
+//! violation corpus, compiled workloads, sanitized fuzz programs, the
+//! loop-heavy fuzz family, and generated pointer programs.
 //!
-//! The same four-way matrix additionally pins the **metadata fast path**:
+//! The same matrix additionally pins the **metadata fast path**:
 //! each program runs under `MetaPath::Summary` (per-page counters) and
 //! `MetaPath::Walk` (the unsummarized tag-plane walk), on both execution
 //! paths, and all four outcomes must be byte-identical — `ExecStats` and
@@ -20,10 +21,13 @@
 
 use hardbound::compiler::Mode;
 use hardbound::core::{HierPath, Machine, MachineConfig, MetaPath, PointerEncoding, RunOutcome};
-use hardbound::exec::{Engine, OptConfig};
-use hardbound::isa::{fuzz, FuncId, Function, Inst, Program, SysCall};
+use hardbound::exec::Engine;
+use hardbound::isa::{
+    fuzz, layout, FuncId, Function, FunctionBuilder, Inst, Program, Reg, SysCall, Width,
+};
 use hardbound::runtime::{build_machine, build_machine_with_config, compile, machine_config};
 use hardbound::workloads::{all, by_name, Scale};
+use proptest::prelude::*;
 
 const ALL_MODES: [Mode; 5] = [
     Mode::Baseline,
@@ -48,12 +52,9 @@ fn assert_identical(label: &str, interp: &RunOutcome, engine: &RunOutcome) {
     assert_eq!(engine.stats, interp.stats, "{label}: ExecStats");
 }
 
-/// Compiles `source` under `mode` and runs it eight ways — interpreter,
-/// engine, engine+opt, and engine+opt+audit, each under the summary fast
-/// path and the unsummarized walk — asserting all outcomes identical. The
-/// audit leg re-executes every check the optimizer eliminated and panics
-/// on a would-have-trapped divergence, so "identical" here means *proved*
-/// identical, not merely observed.
+/// Compiles `source` under `mode` and runs it six ways — interpreter and
+/// engine, each under the summary fast path, the unsummarized walk, and
+/// the reference hierarchy way-walk — asserting all outcomes identical.
 fn differential_cb(label: &str, source: &str, mode: Mode, encoding: PointerEncoding) {
     let program = compile(source, mode)
         .unwrap_or_else(|e| panic!("{label}: compile failed under {mode}: {e}"));
@@ -90,12 +91,6 @@ fn differential_cb(label: &str, source: &str, mode: Mode, encoding: PointerEncod
         &engine,
         &engine_hier,
     );
-    for (opt, leg) in [(OptConfig::ON, "opt"), (OptConfig::AUDIT, "opt+audit")] {
-        let opt_run = Engine::with_opt(build(MetaPath::Summary), opt).run();
-        assert_identical(&format!("{label}/engine+{leg}"), &interp, &opt_run);
-        let opt_walk = Engine::with_opt(build(MetaPath::Walk), opt).run();
-        assert_identical(&format!("{label}/engine+{leg}/walk"), &interp, &opt_walk);
-    }
 }
 
 const BENIGN: &[(&str, &str)] = &[
@@ -232,6 +227,24 @@ fn fuzz_program(seed: u64) -> Program {
     program
 }
 
+/// Runs a raw µop program four ways under `cfg` — interpreter, engine,
+/// engine under the unsummarized metadata walk, and engine under the
+/// reference hierarchy way-walk — asserting all outcomes identical.
+fn differential_raw(label: &str, program: &Program, cfg: &MachineConfig) {
+    let run = |cfg: MachineConfig| Engine::new(Machine::new(program.clone(), cfg)).run();
+    let interp = Machine::new(program.clone(), cfg.clone()).run();
+    let engine = run(cfg.clone());
+    let engine_walk = run(cfg.clone().with_meta_path(MetaPath::Walk));
+    let engine_hier = run(cfg.clone().with_hier_path(HierPath::Walk));
+    assert_identical(label, &interp, &engine);
+    assert_identical(&format!("{label}/summary-vs-walk"), &engine, &engine_walk);
+    assert_identical(
+        &format!("{label}/event-vs-hier-walk"),
+        &engine,
+        &engine_hier,
+    );
+}
+
 #[test]
 fn fuzz_programs_agree_across_modes_and_encodings() {
     for seed in 0..48 {
@@ -240,25 +253,31 @@ fn fuzz_programs_agree_across_modes_and_encodings() {
             // Fuzz programs are raw µop streams — the compiler mode only
             // matters through the machine configuration, so pair each
             // config via the runtime glue as the drivers do. The walk
-            // variant re-checks the fast-path identity on hostile inputs.
+            // variants re-check the fast-path identities on hostile inputs.
             let cfg = machine_config(mode, encoding).with_fuel(100_000);
-            let walk_cfg = cfg.clone().with_meta_path(MetaPath::Walk);
-            let hier_cfg = cfg.clone().with_hier_path(HierPath::Walk);
-            let interp = Machine::new(program.clone(), cfg.clone()).run();
-            let engine = Engine::new(Machine::new(program.clone(), cfg.clone())).run();
-            let engine_walk = Engine::new(Machine::new(program.clone(), walk_cfg)).run();
-            let engine_hier = Engine::new(Machine::new(program.clone(), hier_cfg)).run();
-            let audited =
-                Engine::with_opt(Machine::new(program.clone(), cfg), OptConfig::AUDIT).run();
-            let label = format!("fuzz-{seed}/{mode}/{encoding}");
-            assert_identical(&label, &interp, &engine);
-            assert_identical(&format!("{label}/summary-vs-walk"), &engine, &engine_walk);
-            assert_identical(
-                &format!("{label}/event-vs-hier-walk"),
-                &engine,
-                &engine_hier,
-            );
-            assert_identical(&format!("{label}/opt+audit"), &interp, &audited);
+            differential_raw(&format!("fuzz-{seed}/{mode}/{encoding}"), &program, &cfg);
+        }
+    }
+}
+
+/// The loop-heavy fuzz family across the full matrix: counted self-loops
+/// whose checked accesses re-dispatch from the block cache every
+/// iteration, and some of which walk off their array mid-loop — trap-site
+/// identity on a hot cached block.
+#[test]
+fn loop_family_agrees_across_modes_and_encodings() {
+    for seed in 0..64 {
+        let main = Function {
+            name: "main".into(),
+            insts: fuzz::loop_insts(seed),
+            frame_size: 0,
+            num_args: 0,
+        };
+        let program = Program::with_entry(vec![main]);
+        program.validate().expect("loop family programs validate");
+        for (mode, encoding) in all_configs() {
+            let cfg = machine_config(mode, encoding).with_fuel(100_000);
+            differential_raw(&format!("loop-{seed}/{mode}/{encoding}"), &program, &cfg);
         }
     }
 }
@@ -294,5 +313,139 @@ fn fuel_edge_agrees_at_every_limit() {
         let interp = Machine::new(program.clone(), cfg.clone()).run();
         let engine = Engine::new(Machine::new(program.clone(), cfg)).run();
         assert_identical(&format!("fuel={fuel}"), &interp, &engine);
+    }
+}
+
+/// Registers the generated pointer programs point through.
+const PTRS: [Reg; 3] = [Reg::A0, Reg::A1, Reg::A6];
+
+/// One generated pointer operation.
+#[derive(Clone, Copy, Debug)]
+enum POp {
+    /// Re-derive pointer `p`: fresh base and (small) bounds — some
+    /// offsets/sizes leave later fixed-offset accesses out of bounds.
+    Rebase {
+        p: usize,
+        off: u32,
+        size: u32,
+    },
+    /// `p += delta`.
+    Advance {
+        p: usize,
+        delta: i32,
+    },
+    /// `dst = src` (aliases share metadata).
+    Alias {
+        dst: usize,
+        src: usize,
+    },
+    Load {
+        p: usize,
+        off: i32,
+        byte: bool,
+    },
+    Store {
+        p: usize,
+        off: i32,
+        byte: bool,
+    },
+}
+
+fn pop() -> impl Strategy<Value = POp> {
+    let p = 0usize..PTRS.len();
+    // Offsets reach past the 16..=64-byte objects often enough that the
+    // violation path is well traveled.
+    let off = -8i32..72;
+    prop_oneof![
+        (p.clone(), 0u32..256, 16u32..64).prop_map(|(p, off, size)| POp::Rebase { p, off, size }),
+        (p.clone(), -16i32..32).prop_map(|(p, delta)| POp::Advance { p, delta }),
+        (p.clone(), 0usize..PTRS.len()).prop_map(|(dst, src)| POp::Alias { dst, src }),
+        // Loads listed twice: they are drawn twice as often as stores.
+        (p.clone(), off.clone(), any::<bool>()).prop_map(|(p, off, byte)| POp::Load {
+            p,
+            off,
+            byte
+        }),
+        (p.clone(), off.clone(), any::<bool>()).prop_map(|(p, off, byte)| POp::Load {
+            p,
+            off,
+            byte
+        }),
+        (p, off, any::<bool>()).prop_map(|(p, off, byte)| POp::Store { p, off, byte }),
+    ]
+}
+
+/// Lowers the ops, optionally wrapped in a counted loop (the loop flavour
+/// re-dispatches the same cached block with live pointer metadata).
+fn build_pop_program(ops: &[POp], loop_trips: Option<u32>) -> Program {
+    let mut f = FunctionBuilder::new("gen", 0);
+    for (i, &r) in PTRS.iter().enumerate() {
+        f.li(r, layout::HEAP_BASE + 64 * i as u32);
+        f.setbound_imm(r, r, 48);
+    }
+    let head = loop_trips.map(|_| {
+        f.li(Reg::T2, 0);
+        f.bind_label()
+    });
+    for &op in ops {
+        match op {
+            POp::Rebase { p, off, size } => {
+                f.li(PTRS[p], layout::HEAP_BASE + off);
+                f.setbound_imm(PTRS[p], PTRS[p], size as i32);
+            }
+            POp::Advance { p, delta } => f.addi(PTRS[p], PTRS[p], delta),
+            POp::Alias { dst, src } => f.mov(PTRS[dst], PTRS[src]),
+            POp::Load { p, off, byte } => {
+                let w = if byte { Width::Byte } else { Width::Word };
+                f.load(w, Reg::T0, PTRS[p], off);
+            }
+            POp::Store { p, off, byte } => {
+                let w = if byte { Width::Byte } else { Width::Word };
+                f.store(w, Reg::T0, PTRS[p], off);
+            }
+        }
+    }
+    if let (Some(head), Some(trips)) = (head, loop_trips) {
+        f.addi(Reg::T2, Reg::T2, 1);
+        f.branch(hardbound::isa::CmpOp::Lt, Reg::T2, trips as i32, head);
+    }
+    f.li(Reg::A0, 0);
+    f.halt();
+    Program::with_entry(vec![f.finish()])
+}
+
+/// The default HardBound configuration plus the two non-default corners
+/// that change check-µop accounting the most.
+fn pop_configs() -> [MachineConfig; 3] {
+    [
+        machine_config(Mode::HardBound, PointerEncoding::Intern4),
+        machine_config(Mode::HardBound, PointerEncoding::Extern4),
+        machine_config(Mode::MallocOnly, PointerEncoding::Intern11),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Straight-line pointer soup: aliasing, pointer arithmetic, rebasing,
+    /// and plenty of traps.
+    #[test]
+    fn straight_line_programs_agree(ops in prop::collection::vec(pop(), 1..40)) {
+        let program = build_pop_program(&ops, None);
+        for (i, cfg) in pop_configs().into_iter().enumerate() {
+            differential_raw(&format!("straight/cfg{i}"), &program, &cfg.with_fuel(200_000));
+        }
+    }
+
+    /// The same soup inside a counted loop.
+    #[test]
+    fn looped_programs_agree(
+        ops in prop::collection::vec(pop(), 1..24),
+        trips in 1u32..6,
+    ) {
+        let program = build_pop_program(&ops, Some(trips));
+        for (i, cfg) in pop_configs().into_iter().enumerate() {
+            differential_raw(&format!("loop/cfg{i}"), &program, &cfg.with_fuel(200_000));
+        }
     }
 }
